@@ -22,7 +22,7 @@ use crate::probability::increment;
 use crate::sample_graph::SampleGraph;
 use crate::stats::ProcessingStats;
 use abacus_graph::persist::{Decoder, Encoder, PersistError};
-use abacus_graph::{FxHashMap, NeighborhoodView, Side, VertexRef};
+use abacus_graph::{cheapest_side, FxHashMap, Side, VertexRef};
 use abacus_sampling::{RandomPairing, RandomPairingState};
 use abacus_stream::{EdgeDelta, StreamElement};
 use rand::rngs::StdRng;
@@ -107,12 +107,14 @@ impl LocalAbacus {
         let mut discovered = 0u64;
         let mut comparisons = 0u64;
 
-        // Iterate the cheaper endpoint's neighborhood, mirroring the kernel in
-        // `abacus_graph::peredge` but keeping the identity of the fourth
-        // vertex so it can be credited.
-        let iterate_left =
-            self.sample.view_neighbor_degree_sum(u) < self.sample.view_neighbor_degree_sum(v);
-        let (anchor, other) = if iterate_left { (u, v) } else { (v, u) };
+        // Iterate the neighborhood the kernel's own line-7 test picks, but
+        // keep the identity of the fourth vertex so it can be credited.
+        let Some((anchor, other)) = cheapest_side(&self.sample, edge) else {
+            // An isolated endpoint completes no butterfly.
+            self.stats
+                .record_element(element.delta.is_insert(), discovered, comparisons);
+            return;
+        };
         let wedge_side = anchor.side.opposite();
 
         let mut updates: Vec<(VertexRef, VertexRef)> = Vec::new();

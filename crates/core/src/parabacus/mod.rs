@@ -14,8 +14,9 @@
 //!    butterflies the edge forms with *its* sample version (reconstructed
 //!    through a [`VersionView`](versioned::VersionView)) and extrapolates
 //!    with the increment computed from the cached triplet.
-//! 3. **Reduction and consolidation** — the partial counts are summed into the
-//!    running estimate once the batch's chunk results are collected.
+//! 3. **Reduction and consolidation** — once a batch's chunk results are
+//!    collected, the coordinator adds each element's increment to the
+//!    running estimate, one at a time and in stream order.
 //!
 //! # The pipeline
 //!
@@ -39,11 +40,11 @@
 //! workers have dropped their handles.
 //!
 //! Exactness (Theorem 5) is preserved: sample transitions and RNG draws
-//! happen in stream order on the coordinator regardless of depth, and every
-//! batch is counted against its own sealed versions, so estimates stay
-//! bit-for-bit identical to sequential ABACUS up to floating-point summation
-//! order — the tests assert this for randomized insert/delete streams across
-//! pipeline depths.
+//! happen in stream order on the coordinator regardless of depth, every
+//! batch is counted against its own sealed versions, and the increments are
+//! added with the values and in the order ABACUS adds them, so estimates are
+//! bit-for-bit identical to sequential ABACUS — the tests assert this for
+//! randomized insert/delete streams across pipeline depths and thread counts.
 //!
 //! The price of the overlap is *latency*, not correctness: up to
 //! `pipeline_depth - 1` dispatched batches may not yet be reflected in
@@ -68,7 +69,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use versioned::{RecordingSample, VersionedDeltas, ViewScratch};
+use versioned::{RecordingSample, VersionedDeltas};
 
 /// A dispatched mini-batch whose chunk results have not been collected yet.
 #[derive(Debug)]
@@ -144,10 +145,9 @@ pub struct ParAbacus {
     /// Chunk-result vector handed to the pool on every collection (cleared,
     /// never dropped — its capacity is at most `threads` entries).
     spare_results: Vec<ChunkResult>,
-    /// View buffers for the single-threaded inline counting path (the pool
-    /// workers each keep their own); lives as long as the estimator so the
-    /// per-edge views stop allocating once warm.
-    inline_scratch: ViewScratch,
+    /// Increment buffers recycled from reduced chunk results; every chunk
+    /// task takes one to write its elements' increments into.
+    spare_increments: Vec<Vec<f64>>,
     timings: PhaseTimings,
 }
 
@@ -215,7 +215,7 @@ impl ParAbacus {
             spare_elements: Vec::new(), // lint:allow(hot-path-alloc): one-time construction of the recycling pools themselves
             spare_triplets: Vec::new(), // lint:allow(hot-path-alloc): one-time construction of the recycling pools themselves
             spare_results: Vec::new(), // lint:allow(hot-path-alloc): one-time construction of the recycling pools themselves
-            inline_scratch: ViewScratch::new(),
+            spare_increments: Vec::new(), // lint:allow(hot-path-alloc): one-time construction of the recycling pools themselves
             timings: PhaseTimings::default(),
         }
     }
@@ -415,12 +415,20 @@ impl ParAbacus {
         log
     }
 
-    /// Folds one chunk result into the running estimate and counters.
-    fn reduce(&mut self, result: &ChunkResult) {
-        self.estimate += result.partial;
+    /// Folds one chunk result into the running estimate and counters, and
+    /// recycles its increment buffer.
+    ///
+    /// Chunks arrive in chunk order and each adds its increments one at a
+    /// time, so the estimate goes through exactly the floating-point
+    /// additions ABACUS performs and equals it bit for bit.
+    fn reduce(&mut self, result: ChunkResult) {
+        for increment in &result.increments {
+            self.estimate += increment;
+        }
         self.stats.merge(&result.stats);
         self.thread_comparisons[result.chunk_index % self.config.threads] +=
             result.stats.comparisons;
+        self.spare_increments.push(result.increments);
     }
 
     /// Blocks until the oldest in-flight batch is fully counted, reduces its
@@ -440,7 +448,7 @@ impl ParAbacus {
             .expect("an in-flight batch requires a worker pool")
             .collect_batch_into(entry.id, entry.chunks, &mut results);
         self.timings.counting_seconds += wait_start.elapsed().as_secs_f64();
-        for result in &results {
+        for result in results.drain(..) {
             self.reduce(result);
         }
         self.spare_results = results;
@@ -554,7 +562,7 @@ impl ParAbacus {
         let chunk_size = m.div_ceil(threads);
         let elements = Arc::new(elements);
         let triplets = Arc::new(triplets);
-        let chunk_task = |chunk_index: usize| CountTask {
+        let chunk_task = |chunk_index: usize, increments: Vec<f64>| CountTask {
             batch: batch_id,
             sample: Arc::clone(&self.sample),
             snapshot: self.snapshot.as_ref().map(Arc::clone),
@@ -564,6 +572,7 @@ impl ParAbacus {
             range: (chunk_index * chunk_size)..((chunk_index + 1) * chunk_size).min(m),
             chunk_index,
             budget: self.config.budget,
+            increments,
         };
 
         if self.config.threads == 1 {
@@ -572,11 +581,10 @@ impl ParAbacus {
             // estimates never depend on whether the pool was engaged.
             // lint:allow(determinism): phase timing feeds the diagnostic timings report only, never an estimate
             let phase2_start = std::time::Instant::now();
-            let task = chunk_task(0);
-            let result = execute_task(&task, &self.inline_scratch);
-            drop(task);
+            let increments = self.spare_increments.pop().unwrap_or_default();
+            let result = execute_task(chunk_task(0, increments));
             self.timings.counting_seconds += phase2_start.elapsed().as_secs_f64();
-            self.reduce(&result);
+            self.reduce(result);
             self.spare_deltas.push(deltas_arc);
             // The task's Arc handles are gone, so the batch buffers are
             // uniquely owned again and can stage the next batch.
@@ -597,7 +605,8 @@ impl ParAbacus {
             .pool
             .get_or_insert_with(|| CountingPool::new(self.config.threads));
         for chunk_index in 0..threads {
-            pool.submit(chunk_task(chunk_index));
+            let increments = self.spare_increments.pop().unwrap_or_default();
+            pool.submit(chunk_task(chunk_index, increments));
         }
         self.timings.counting_seconds += dispatch_start.elapsed().as_secs_f64();
         self.in_flight.push_back(InFlightBatch {
@@ -787,17 +796,9 @@ mod tests {
         )
     }
 
-    fn assert_close(a: f64, b: f64) {
-        let scale = a.abs().max(b.abs()).max(1.0);
-        assert!(
-            (a - b).abs() <= 1e-9 * scale,
-            "estimates differ: {a} vs {b}"
-        );
-    }
-
-    /// Theorem 5: PARABACUS produces the same counts as ABACUS after each
-    /// mini-batch (same seed, same budget), for the alternating schedule
-    /// (depth 1) and every pipelined depth alike.
+    /// Theorem 5: PARABACUS produces the same counts as ABACUS, bit for bit,
+    /// after each mini-batch (same seed, same budget), for the alternating
+    /// schedule (depth 1) and every pipelined depth alike.
     #[test]
     fn matches_sequential_abacus_exactly() {
         let stream = dynamic_stream(1, 4_000, 0.2);
@@ -823,7 +824,11 @@ mod tests {
             par.process_stream(&stream);
 
             let label = format!("batch {batch}, threads {threads}, depth {depth}");
-            assert_close(seq.estimate(), par.estimate());
+            assert_eq!(
+                seq.estimate().to_bits(),
+                par.estimate().to_bits(),
+                "{label}"
+            );
             assert_eq!(par.in_flight_batches(), 0, "{label}");
             // Sampled state is identical; `memory_edges` itself may differ by
             // the lazily built sorted caches each code path happened to touch.
@@ -963,15 +968,11 @@ mod tests {
             let mut without = ParAbacus::new(base.with_snapshot(SnapshotMode::Off));
             with.process_stream(&stream);
             without.process_stream(&stream);
-            if threads == 1 {
-                assert_eq!(
-                    with.estimate().to_bits(),
-                    without.estimate().to_bits(),
-                    "threads {threads}, depth {depth}"
-                );
-            } else {
-                assert_close(with.estimate(), without.estimate());
-            }
+            assert_eq!(
+                with.estimate().to_bits(),
+                without.estimate().to_bits(),
+                "threads {threads}, depth {depth}"
+            );
             assert_eq!(with.stats().comparisons, without.stats().comparisons);
             assert_eq!(with.sampler_state(), without.sampler_state());
             assert_eq!(
@@ -1031,8 +1032,8 @@ mod tests {
         }
         assert!(par.pending_elements() > 0, "stream must end mid-batch");
         let final_estimate = par.finish();
-        assert_close(seq.estimate(), final_estimate);
-        assert_close(par.estimate(), final_estimate);
+        assert_eq!(seq.estimate().to_bits(), final_estimate.to_bits());
+        assert_eq!(par.estimate().to_bits(), final_estimate.to_bits());
         assert_eq!(par.pending_elements(), 0);
         assert_eq!(par.in_flight_batches(), 0);
         assert_eq!(seq.stats().comparisons, par.stats().comparisons);
@@ -1159,8 +1160,7 @@ mod tests {
                     .with_pipeline_depth(depth),
             );
             par.process_stream(&stream);
-            let scale = seq.estimate().abs().max(1.0);
-            prop_assert!((seq.estimate() - par.estimate()).abs() <= 1e-9 * scale);
+            prop_assert_eq!(seq.estimate().to_bits(), par.estimate().to_bits());
             prop_assert_eq!(seq.sampler_state(), par.sampler_state());
         }
     }

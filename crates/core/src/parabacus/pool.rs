@@ -26,7 +26,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use super::versioned::{VersionView, VersionedDeltas, ViewScratch};
+use super::versioned::{VersionView, VersionedDeltas};
 
 /// One chunk of a mini-batch: count the butterflies of the elements in
 /// `range` against their respective sample versions.
@@ -55,17 +55,23 @@ pub(super) struct CountTask {
     pub chunk_index: usize,
     /// Memory budget `k` of the estimator (needed by Eq. 1).
     pub budget: usize,
+    /// Buffer the chunk writes its increments into, recycled from an
+    /// earlier chunk result (cleared before use).
+    pub increments: Vec<f64>,
 }
 
 /// The result of one executed [`CountTask`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(super) struct ChunkResult {
     /// The mini-batch the result belongs to.
     pub batch: u64,
     /// The chunk the result belongs to.
     pub chunk_index: usize,
-    /// Signed, extrapolated partial count contributed by the chunk.
-    pub partial: f64,
+    /// The signed, extrapolated increment of every element of the chunk that
+    /// discovered butterflies, in stream order.  The coordinator adds them to
+    /// the estimate one at a time, exactly as ABACUS adds its per-element
+    /// increments, so the two estimates agree bit for bit.
+    pub increments: Vec<f64>,
     /// Work counters of the chunk.
     pub stats: ProcessingStats,
 }
@@ -74,37 +80,43 @@ pub(super) struct ChunkResult {
 /// version, extrapolated with the increment of Eq. 1.
 ///
 /// This is the exact same code path the single-threaded fallback uses, so
-/// estimates never depend on whether the pool was engaged.  `scratch` carries
-/// the caller's long-lived view buffers; a worker reuses one across every
-/// chunk it executes, so the versioned views allocate nothing per element in
-/// the steady state.
-pub(super) fn execute_task(task: &CountTask, scratch: &ViewScratch) -> ChunkResult {
-    let mut partial = 0.0f64;
+/// estimates never depend on whether the pool was engaged.  The task is
+/// consumed, so its `Arc` handles are released before the result returns.
+pub(super) fn execute_task(task: CountTask) -> ChunkResult {
+    let CountTask {
+        batch,
+        sample,
+        snapshot,
+        deltas,
+        elements,
+        triplets,
+        range,
+        chunk_index,
+        budget,
+        mut increments,
+    } = task;
+    increments.clear();
     let mut stats = ProcessingStats::default();
-    for position in task.range.clone() {
-        let element = task.elements[position];
-        let view = match &task.snapshot {
-            Some(snapshot) => VersionView::over_snapshot_in(
-                snapshot,
-                &task.sample,
-                &task.deltas,
-                position as u32,
-                scratch,
-            ),
-            None => VersionView::new_in(&task.sample, &task.deltas, position as u32, scratch),
+    for position in range {
+        let element = elements[position];
+        let version = position as u32;
+        let view = match &snapshot {
+            Some(snapshot) => VersionView::over_snapshot(snapshot, &sample, &deltas, version),
+            None => VersionView::new(&sample, &deltas, version),
         };
         let per_edge = count_butterflies_with_edge(&view, element.edge);
         let is_insert = element.delta.is_insert();
         if per_edge.butterflies > 0 {
-            partial += increment(task.budget, task.triplets[position], is_insert)
-                * per_edge.butterflies as f64;
+            increments.push(
+                increment(budget, triplets[position], is_insert) * per_edge.butterflies as f64,
+            );
         }
         stats.record_element(is_insert, per_edge.butterflies, per_edge.comparisons);
     }
     ChunkResult {
-        batch: task.batch,
-        chunk_index: task.chunk_index,
-        partial,
+        batch,
+        chunk_index,
+        increments,
         stats,
     }
 }
@@ -141,19 +153,16 @@ impl CountingPool {
                 std::thread::Builder::new()
                     .name(format!("parabacus-worker-{index}"))
                     .spawn(move || {
-                        // One scratch per worker, reused for every chunk this
-                        // thread ever counts (see `execute_task`).
-                        let scratch = ViewScratch::new();
                         while let Ok(task) = task_rx.recv() {
+                            // `execute_task` consumes the task, so its Arc
+                            // handles are gone before the report is sent and
+                            // the coordinator can recycle the version's
+                            // buffers once all results of the batch arrived.
                             let report =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    execute_task(&task, &scratch)
+                                    execute_task(task)
                                 }))
                                 .map_err(|payload| panic_message(&payload));
-                            // Release the Arc handles before reporting, so the
-                            // coordinator can recycle the version's buffers
-                            // once all results of the batch arrived.
-                            drop(task);
                             let failed = report.is_err();
                             if result_tx.send(report).is_err() || failed {
                                 break;
@@ -183,11 +192,10 @@ impl CountingPool {
             .expect("PARABACUS worker threads terminated unexpectedly");
     }
 
-    /// Collects exactly the `count` chunk results of mini-batch `batch` (in
-    /// completion order) into `results` — cleared first, so the coordinator
-    /// can hand the same vector back every batch and amortize its capacity —
-    /// parking results of other in-flight batches for their own later
-    /// collection.
+    /// Collects exactly the `count` chunk results of mini-batch `batch` into
+    /// `results` — cleared first, so the coordinator can hand the same vector
+    /// back every batch and amortize its capacity — in chunk order, parking
+    /// results of other in-flight batches for their own later collection.
     ///
     /// When [`collect_batch_into`](Self::collect_batch_into) returns, every
     /// worker that executed a chunk of `batch` has already dropped its task —
@@ -199,14 +207,14 @@ impl CountingPool {
     pub fn collect_batch_into(&mut self, batch: u64, count: usize, results: &mut Vec<ChunkResult>) {
         results.clear();
         results.reserve(count);
-        self.parked.retain(|result| {
-            if result.batch == batch {
-                results.push(*result);
-                false
+        let mut index = 0;
+        while index < self.parked.len() {
+            if self.parked[index].batch == batch {
+                results.push(self.parked.swap_remove(index));
             } else {
-                true
+                index += 1;
             }
-        });
+        }
         while results.len() < count {
             let report = self
                 .result_rx
@@ -220,12 +228,11 @@ impl CountingPool {
                 Err(message) => panic!("PARABACUS worker panicked: {message}"),
             }
         }
-        // Workers finish in scheduler order, which would make the coordinator
-        // reduce the floating-point partials in a run-to-run varying order.
-        // Sorting by chunk index (at most `p` results, trivially cheap) makes
-        // every multi-threaded run bit-reproducible — and bit-identical to
-        // any other driver feeding the same elements (see
-        // `tests/streaming_parity.rs`).
+        // Workers finish in scheduler order.  Sorting by chunk index (at most
+        // `p` results, trivially cheap) puts the chunks' increments back in
+        // stream order, which is what makes every multi-threaded run
+        // bit-identical to sequential ABACUS and to any other driver feeding
+        // the same elements (see `tests/streaming_parity.rs`).
         results.sort_by_key(|result| result.chunk_index);
     }
 }
@@ -292,6 +299,7 @@ mod tests {
             range,
             chunk_index: 0,
             budget: 100,
+            increments: Vec::new(),
         }
     }
 
@@ -308,10 +316,17 @@ mod tests {
             hash_task.sample.edges().iter().copied(),
             KernelTuning::default(),
         )));
-        let scratch = ViewScratch::new();
-        let hash_result = execute_task(&hash_task, &scratch);
-        let snap_result = execute_task(&snap_task, &scratch);
-        assert_eq!(hash_result.partial.to_bits(), snap_result.partial.to_bits());
+        let hash_result = execute_task(hash_task);
+        let snap_result = execute_task(snap_task);
+        let bits = |result: &ChunkResult| -> Vec<u64> {
+            result
+                .increments
+                .iter()
+                .copied()
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(bits(&hash_result), bits(&snap_result));
         assert_eq!(hash_result.stats, snap_result.stats);
     }
 
@@ -322,9 +337,10 @@ mod tests {
             StreamElement::insert(Edge::new(0, 10)),
             StreamElement::delete(Edge::new(0, 10)),
         ];
-        let result = execute_task(&task_for(batch, 0..2), &ViewScratch::new());
-        // The insertion finds the butterfly (+1), the deletion removes it (−1).
-        assert_eq!(result.partial, 0.0);
+        let result = execute_task(task_for(batch, 0..2));
+        // The insertion finds the butterfly (+1), the deletion removes it
+        // (−1), reported in stream order.
+        assert_eq!(result.increments, [1.0, -1.0]);
         assert_eq!(result.stats.elements, 2);
         assert_eq!(result.stats.discovered_butterflies, 2);
     }
@@ -335,9 +351,9 @@ mod tests {
             StreamElement::insert(Edge::new(0, 10)),
             StreamElement::insert(Edge::new(5, 50)),
         ];
-        let result = execute_task(&task_for(batch, 1..2), &ViewScratch::new());
+        let result = execute_task(task_for(batch, 1..2));
         assert_eq!(result.stats.elements, 1);
-        assert_eq!(result.partial, 0.0);
+        assert!(result.increments.is_empty());
     }
 
     #[test]
@@ -351,10 +367,9 @@ mod tests {
         }
         let mut results = Vec::new();
         pool.collect_batch_into(0, 4, &mut results);
-        results.sort_by_key(|r| r.chunk_index);
         assert_eq!(results.len(), 4);
         for (i, result) in results.iter().enumerate() {
-            assert_eq!(result.chunk_index, i);
+            assert_eq!(result.chunk_index, i, "results come back in chunk order");
             assert_eq!(result.stats.elements, 2);
         }
     }

@@ -17,9 +17,10 @@
 //! churn crosses the snapshot's threshold.
 
 use crate::sample_graph::SampleGraph;
+use abacus_graph::adjacency::AdjacencySet;
 use abacus_graph::csr::CsrSnapshot;
 use abacus_graph::intersect::{
-    slice_probe_excluding, sorted_intersection_excluding, IntersectionResult,
+    slice_probe_excluding, sorted_intersection_excluding, IntersectionResult, KernelTuning,
 };
 use abacus_graph::{Edge, NeighborhoodView, VertexRef};
 use abacus_sampling::SampleStore;
@@ -80,28 +81,41 @@ impl NeighborhoodView for SnapshotView<'_> {
         b: VertexRef,
         exclude: u32,
     ) -> IntersectionResult {
-        let (ra, rb) = (self.snapshot.row(a), self.snapshot.row(b));
-        let (small_row, large_row, large_vertex) = if ra.len() <= rb.len() {
-            (ra, rb, b)
-        } else {
-            (rb, ra, a)
-        };
-        if small_row.is_empty() {
-            return IntersectionResult::default();
-        }
-        let tuning = self.snapshot.tuning();
-        if large_row.len() > small_row.len().saturating_mul(tuning.merge_size_ratio) {
-            // Skewed: probe the hub's hash set if it has one.
-            if let Some(set) = self
-                .sample
-                .neighbors(large_vertex)
-                .filter(|set| set.as_large().is_some())
-            {
-                return slice_probe_excluding(small_row, set, exclude);
-            }
-        }
-        sorted_intersection_excluding(small_row, large_row, exclude, tuning)
+        hybrid_intersection_excluding(
+            self.snapshot.row(a),
+            self.snapshot.row(b),
+            exclude,
+            self.snapshot.tuning(),
+            |b_is_large| self.sample.neighbors(if b_is_large { b } else { a }),
+        )
     }
+}
+
+/// The [`SnapshotView`] kernel over resolved operands: the snapshot rows `ra`
+/// and `rb` of two vertices, and `large_set`, which returns the sample's hash
+/// set behind the larger row (`true`: `b`'s) and is only called when the
+/// sizes are skewed enough for hash probes to win.  The versioned views of
+/// PARABACUS share it, with operands they resolve once per edge.
+#[inline]
+pub(crate) fn hybrid_intersection_excluding<'s>(
+    ra: &[u32],
+    rb: &[u32],
+    exclude: u32,
+    tuning: KernelTuning,
+    large_set: impl FnOnce(bool) -> Option<&'s AdjacencySet>,
+) -> IntersectionResult {
+    let b_is_large = ra.len() <= rb.len();
+    let (small_row, large_row) = if b_is_large { (ra, rb) } else { (rb, ra) };
+    if small_row.is_empty() {
+        return IntersectionResult::default();
+    }
+    if large_row.len() > small_row.len().saturating_mul(tuning.merge_size_ratio) {
+        // Skewed: probe the hub's hash set if it has one.
+        if let Some(set) = large_set(b_is_large).filter(|set| set.as_large().is_some()) {
+            return slice_probe_excluding(small_row, set, exclude);
+        }
+    }
+    sorted_intersection_excluding(small_row, large_row, exclude, tuning)
 }
 
 /// A [`SampleStore`] that applies every mutation to the live sample *and*
@@ -172,13 +186,22 @@ pub fn entries_to_edge_equivalents(entries: usize) -> usize {
 mod tests {
     use super::*;
     use abacus_graph::intersect::KernelTuning;
-    use abacus_graph::{NeighborhoodView, VertexRef};
+    use abacus_graph::{cheapest_side, NeighborhoodView, VertexRef};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn edge(l: u32, r: u32) -> Edge {
         Edge::new(l, r)
+    }
+
+    /// `S(v)` summed in full: the reference for the capped sums.
+    fn full_sum(sample: &SampleGraph, v: VertexRef) -> usize {
+        let mut sum = 0;
+        sample.view_for_each_neighbor(v, &mut |x| {
+            sum += sample.view_degree(VertexRef::new(v.side.opposite(), x));
+        });
+        sum
     }
 
     /// Asserts the snapshot reports exactly the sample's adjacency for every
@@ -269,6 +292,38 @@ mod tests {
                 }
             }
             assert_mirrors(&sample, &snapshot, 10);
+
+            // Line 7 on both counting backings: every capped sum is exact
+            // below its cap and reaches the cap otherwise, and the side test
+            // picks the side of the uncapped comparison.
+            let view = SnapshotView::new(&snapshot, &sample);
+            for id in 0..10u32 {
+                for v in [VertexRef::left(id), VertexRef::right(id)] {
+                    let exact = full_sum(&sample, v);
+                    for cap in 0..=exact + 1 {
+                        for capped in [
+                            sample.view_neighbor_degree_sum_capped(v, cap),
+                            view.view_neighbor_degree_sum_capped(v, cap),
+                        ] {
+                            prop_assert!(
+                                if exact < cap { capped == exact } else { capped >= cap },
+                                "capped sum {capped} of {v} (cap {cap}, exact {exact})"
+                            );
+                        }
+                    }
+                }
+            }
+            for l in 0..10u32 {
+                for r in 0..10u32 {
+                    let e = edge(l, r);
+                    let (u, v) = (e.left_ref(), e.right_ref());
+                    let want = (sample.view_degree(u) > 0 && sample.view_degree(v) > 0).then(|| {
+                        if full_sum(&sample, u) < full_sum(&sample, v) { (u, v) } else { (v, u) }
+                    });
+                    prop_assert_eq!(cheapest_side(&sample, e), want);
+                    prop_assert_eq!(cheapest_side(&view, e), want);
+                }
+            }
         }
     }
 }

@@ -56,8 +56,8 @@ pub use exact::{count_butterflies, count_butterflies_per_left_vertex, ExactCount
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use intersect::KernelTuning;
 pub use peredge::{
-    count_butterflies_with_edge, for_each_butterfly_with_edge, EdgeSupports, NeighborhoodView,
-    PerEdgeCount,
+    cheapest_side, count_butterflies_with_edge, for_each_butterfly_with_edge, EdgeSupports,
+    NeighborhoodView, PerEdgeCount,
 };
 pub use persist::{crc32, Crc32, Decoder, Encoder, PersistError};
 pub use stats::GraphStatistics;

@@ -14,8 +14,28 @@
 //! type.
 //!
 //! The *cheapest-side heuristic* (line 7) picks which endpoint's neighborhood
-//! to iterate: the one whose neighbors have the smaller cumulative degree, so
-//! that the set intersections probe the smaller sets.
+//! to iterate: the one whose neighbors have the smaller cumulative degree
+//! `S(x) = Σ_{y ∈ N(x)} deg(y)`, so that the set intersections probe the
+//! smaller sets.
+//!
+//! # Early exit on line 7
+//!
+//! Line 7 needs the *outcome* of `S(u) < S(v)`, not the two sums, and summing
+//! a hub endpoint costs one degree lookup per neighbor of the hub.
+//! [`cheapest_side`] therefore sums the endpoint of lower degree in full and
+//! walks the other endpoint only until its partial sum settles the strict
+//! comparison, through [`NeighborhoodView::view_neighbor_degree_sum_capped`]:
+//! the walk over `v` stops at `S(u) + 1`, the walk over `u` at `S(v)`.
+//!
+//! The outcome is exact, not approximate.  Degrees are non-negative, so a
+//! partial sum never exceeds the full sum: once the partial sum reaches the
+//! cap the full sum does too, and a walk that ends below the cap has summed
+//! everything.  `S(u) < S(v)` is therefore decided exactly as if both sums
+//! had been computed, and every count, `comparisons` counter and sampler
+//! decision downstream is unchanged.  Every neighbor of a vertex has degree
+//! at least one, so the capped walk ends after at most `S_small + 1` lookups:
+//! one element costs at most `d_small + min(d_big, S_small + 1) + 2` degree
+//! lookups (the `+ 2` reads the endpoint degrees) instead of `d_u + d_v`.
 
 use crate::bipartite::BipartiteGraph;
 use crate::edge::Edge;
@@ -35,14 +55,23 @@ pub trait NeighborhoodView {
     /// Calls `f` for every neighbor of `v` in the view.
     fn view_for_each_neighbor(&self, v: VertexRef, f: &mut dyn FnMut(u32));
 
-    /// Cumulative degree of the neighbors of `v` (default: one pass over the
-    /// neighborhood).  This is the quantity compared by the cheapest-side
-    /// heuristic.
-    fn view_neighbor_degree_sum(&self, v: VertexRef) -> usize {
+    /// Cumulative degree `S(v)` of the neighbors of `v` when it is below
+    /// `cap`, otherwise some value `>= cap`: the quantity [`cheapest_side`]
+    /// compares, capped so that the comparison stops paying once it is
+    /// decided (see the module docs).
+    ///
+    /// Implementors stop looking up degrees once the partial sum reaches
+    /// `cap`.  The default cannot break out of
+    /// [`view_for_each_neighbor`](Self::view_for_each_neighbor), so it still
+    /// walks the whole neighborhood but skips the lookups past the cap; views
+    /// with an iterator of their own override it with a loop that stops.
+    fn view_neighbor_degree_sum_capped(&self, v: VertexRef, cap: usize) -> usize {
         let mut sum = 0usize;
         let opposite = v.side.opposite();
         self.view_for_each_neighbor(v, &mut |x| {
-            sum += self.view_degree(VertexRef::new(opposite, x));
+            if sum < cap {
+                sum += self.view_degree(VertexRef::new(opposite, x));
+            }
         });
         sum
     }
@@ -77,6 +106,27 @@ pub trait NeighborhoodView {
         });
         result
     }
+
+    /// Counts the butterflies that close the wedges `anchor – w – other`,
+    /// `Σ_{w ∈ N(anchor) \ {other}} |N(w) ∩ N(other) \ {anchor}|`, with the
+    /// probe-model comparisons of the intersections (Algorithm 1, lines
+    /// 8–11).
+    ///
+    /// `other` is the same intersection operand for every `w`, so views that
+    /// pay to look a vertex up override this to resolve it once per edge
+    /// instead of once per wedge.  An override must report exactly the
+    /// counts and comparisons of this default.
+    fn view_count_via_anchor(&self, anchor: VertexRef, other: VertexRef) -> PerEdgeCount {
+        let mut result = PerEdgeCount::default();
+        let wedge_side = anchor.side.opposite(); // side of w (same side as `other`)
+        self.view_for_each_neighbor(anchor, &mut |w_id| {
+            if w_id != other.id {
+                let w = VertexRef::new(wedge_side, w_id);
+                result.add_intersection(self.view_intersection_excluding(w, other, anchor.id));
+            }
+        });
+        result
+    }
 }
 
 /// Outcome of the per-edge counting kernel.
@@ -96,6 +146,14 @@ impl PerEdgeCount {
         self.butterflies += other.butterflies;
         self.comparisons += other.comparisons;
     }
+
+    /// Adds one wedge's intersection: each common neighbor closes one
+    /// butterfly, and each probe is one comparison.
+    #[inline]
+    pub fn add_intersection(&mut self, intersection: IntersectionResult) {
+        self.butterflies += intersection.count;
+        self.comparisons += intersection.comparisons;
+    }
 }
 
 /// Which endpoint's neighborhood the kernel iterates over.
@@ -107,6 +165,52 @@ pub enum SideChoice {
     IterateLeftNeighbors,
     /// Always iterate the neighbors of the *right* endpoint (ablation).
     IterateRightNeighbors,
+}
+
+/// Algorithm 1, line 7: orders the endpoints of `edge` as `(anchor, other)`,
+/// where the kernel iterates the neighbors of `anchor`.  The left endpoint
+/// `u` is the anchor iff `S(u) < S(v)` ("choose v"); otherwise the right
+/// endpoint `v` is.  Returns `None` when either endpoint is isolated in the
+/// view, in which case `edge` completes no butterfly.
+///
+/// The lower-degree endpoint's sum is computed in full and the other's only
+/// until the comparison is settled, which is exact (see the module docs):
+/// the test costs at most `d_small + min(d_big, S_small + 1) + 2` degree
+/// lookups.
+///
+/// ```
+/// use abacus_graph::{cheapest_side, BipartiteGraph, Edge, VertexRef};
+///
+/// // S(L0) = deg(R10) = 1 and S(R20) = deg(L1) + deg(L2) + deg(L3) = 3, so
+/// // the kernel iterates the neighbors of L0 for the edge (L0, R20).
+/// let edges = [(0, 10), (1, 20), (2, 20), (3, 20)].map(|(l, r)| Edge::new(l, r));
+/// let g = BipartiteGraph::from_edges(edges);
+/// assert_eq!(
+///     cheapest_side(&g, Edge::new(0, 20)),
+///     Some((VertexRef::left(0), VertexRef::right(20)))
+/// );
+/// assert_eq!(cheapest_side(&g, Edge::new(9, 20)), None);
+/// ```
+#[must_use]
+pub fn cheapest_side<G: NeighborhoodView + ?Sized>(
+    view: &G,
+    edge: Edge,
+) -> Option<(VertexRef, VertexRef)> {
+    let (u, v) = (edge.left_ref(), edge.right_ref());
+    let (du, dv) = (view.view_degree(u), view.view_degree(v));
+    if du == 0 || dv == 0 {
+        return None;
+    }
+    let iterate_u = if du <= dv {
+        // S(u) < S(v) holds iff the walk over v reaches S(u) + 1.
+        let su = view.view_neighbor_degree_sum_capped(u, usize::MAX);
+        su < view.view_neighbor_degree_sum_capped(v, su.saturating_add(1))
+    } else {
+        // S(u) < S(v) holds iff the walk over u ends below S(v).
+        let sv = view.view_neighbor_degree_sum_capped(v, usize::MAX);
+        view.view_neighbor_degree_sum_capped(u, sv) < sv
+    };
+    Some(if iterate_u { (u, v) } else { (v, u) })
 }
 
 /// Counts butterflies formed by `edge` with the edges of `view`, using the
@@ -128,48 +232,15 @@ pub fn count_butterflies_with_edge_choice<G: NeighborhoodView + ?Sized>(
     edge: Edge,
     choice: SideChoice,
 ) -> PerEdgeCount {
-    let u = edge.left_ref();
-    let v = edge.right_ref();
-
-    let iterate_left_endpoint = match choice {
-        SideChoice::IterateLeftNeighbors => true,
-        SideChoice::IterateRightNeighbors => false,
-        SideChoice::Cheapest => {
-            // Line 7: if the cumulative degree of u's neighbors is smaller,
-            // "choose v", i.e. iterate the neighbors of u.
-            view.view_neighbor_degree_sum(u) < view.view_neighbor_degree_sum(v)
-        }
+    let (u, v) = (edge.left_ref(), edge.right_ref());
+    let sides = match choice {
+        SideChoice::Cheapest => cheapest_side(view, edge),
+        SideChoice::IterateLeftNeighbors => Some((u, v)),
+        SideChoice::IterateRightNeighbors => Some((v, u)),
     };
-
-    if iterate_left_endpoint {
-        count_via_anchor(view, u, v)
-    } else {
-        count_via_anchor(view, v, u)
-    }
-}
-
-/// Counts `Σ_{w ∈ N(anchor) \ {other}} |N(w) ∩ N(other) \ {anchor}|`.
-fn count_via_anchor<G: NeighborhoodView + ?Sized>(
-    view: &G,
-    anchor: VertexRef,
-    other: VertexRef,
-) -> PerEdgeCount {
-    let mut result = PerEdgeCount::default();
-    if view.view_degree(other) == 0 {
-        return result;
-    }
-    let wedge_side = anchor.side.opposite(); // side of w (same side as `other`)
-    view.view_for_each_neighbor(anchor, &mut |w_id| {
-        if w_id == other.id {
-            return;
-        }
-        // Intersect N(w) with N(other), excluding the anchor itself.
-        let w = VertexRef::new(wedge_side, w_id);
-        let intersection = view.view_intersection_excluding(w, other, anchor.id);
-        result.butterflies += intersection.count;
-        result.comparisons += intersection.comparisons;
-    });
-    result
+    sides.map_or_else(PerEdgeCount::default, |(anchor, other)| {
+        view.view_count_via_anchor(anchor, other)
+    })
 }
 
 /// Calls `f(x, w)` once for every butterfly `{u, v, x, w}` that
@@ -335,9 +406,21 @@ impl EdgeSupports {
 mod tests {
     use super::*;
     use crate::bipartite::BipartiteGraph;
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn graph(edges: &[(u32, u32)]) -> BipartiteGraph {
         BipartiteGraph::from_edges(edges.iter().map(|&(l, r)| Edge::new(l, r)))
+    }
+
+    /// `S(v)` summed in full: the reference for the capped sum and the side
+    /// test.
+    fn full_sum<G: NeighborhoodView + ?Sized>(view: &G, v: VertexRef) -> usize {
+        let mut sum = 0;
+        view.view_for_each_neighbor(v, &mut |x| {
+            sum += view.view_degree(VertexRef::new(v.side.opposite(), x));
+        });
+        sum
     }
 
     #[test]
@@ -468,11 +551,98 @@ mod tests {
     #[test]
     fn neighbor_degree_sum_default_impl() {
         let g = graph(&[(0, 10), (0, 11), (1, 10)]);
+        let sum = |v| g.view_neighbor_degree_sum_capped(v, usize::MAX);
         // Neighbors of L0 are R10 (deg 2) and R11 (deg 1) => 3.
-        assert_eq!(g.view_neighbor_degree_sum(VertexRef::left(0)), 3);
+        assert_eq!(sum(VertexRef::left(0)), 3);
         // Neighbors of R10 are L0 (deg 2) and L1 (deg 1) => 3.
-        assert_eq!(g.view_neighbor_degree_sum(VertexRef::right(10)), 3);
-        assert_eq!(g.view_neighbor_degree_sum(VertexRef::left(42)), 0);
+        assert_eq!(sum(VertexRef::right(10)), 3);
+        assert_eq!(sum(VertexRef::left(42)), 0);
+        // Below the cap the sum is exact; at the cap it is at least the cap.
+        assert_eq!(g.view_neighbor_degree_sum_capped(VertexRef::left(0), 4), 3);
+        assert!(g.view_neighbor_degree_sum_capped(VertexRef::left(0), 2) >= 2);
+    }
+
+    /// A view that counts its degree lookups.  Intersections go straight to
+    /// the graph, so the count is the line-7 work alone.
+    struct LookupCounter<'a> {
+        graph: &'a BipartiteGraph,
+        lookups: Cell<usize>,
+    }
+
+    impl NeighborhoodView for LookupCounter<'_> {
+        fn view_degree(&self, v: VertexRef) -> usize {
+            self.lookups.set(self.lookups.get() + 1);
+            self.graph.view_degree(v)
+        }
+
+        fn view_contains(&self, v: VertexRef, neighbor: u32) -> bool {
+            self.graph.view_contains(v, neighbor)
+        }
+
+        fn view_for_each_neighbor(&self, v: VertexRef, f: &mut dyn FnMut(u32)) {
+            self.graph.view_for_each_neighbor(v, f);
+        }
+
+        fn view_intersection_excluding(
+            &self,
+            a: VertexRef,
+            b: VertexRef,
+            exclude: u32,
+        ) -> IntersectionResult {
+            self.graph.view_intersection_excluding(a, b, exclude)
+        }
+    }
+
+    #[test]
+    fn side_test_stops_walking_the_hub_early() {
+        // Hub R0 with spokes L1..=L100, each spoke also on a private right
+        // vertex; L200 hangs off its own private R500.
+        let mut edges = vec![(200, 500)];
+        for l in 1..=100u32 {
+            edges.push((l, 0));
+            edges.push((l, 1_000 + l));
+        }
+        let g = graph(&edges);
+        let view = LookupCounter {
+            graph: &g,
+            lookups: Cell::new(0),
+        };
+        for (l, r) in [
+            (200, 0),
+            (1, 0),
+            (1, 500),
+            (7, 1_003),
+            (200, 1_001),
+            (300, 0),
+            (200, 900),
+        ] {
+            let e = Edge::new(l, r);
+            view.lookups.set(0);
+            let counted = count_butterflies_with_edge(&view, e);
+            let lookups = view.lookups.get();
+            assert_eq!(
+                counted,
+                count_butterflies_with_edge(&g, e),
+                "edge ({l},{r})"
+            );
+            let (u, v) = (e.left_ref(), e.right_ref());
+            let (du, dv) = (g.view_degree(u), g.view_degree(v));
+            let (d_small, d_big, s_small) = if du <= dv {
+                (du, dv, full_sum(&g, u))
+            } else {
+                (dv, du, full_sum(&g, v))
+            };
+            let bound = d_small + d_big.min(s_small + 1) + 2;
+            assert!(
+                lookups <= bound,
+                "edge ({l},{r}): {lookups} degree lookups, bound {bound}"
+            );
+        }
+        // The new spoke (L200, R0) settles line 7 after a handful of lookups
+        // instead of summing all 100 spokes of the hub.
+        view.lookups.set(0);
+        let _ = count_butterflies_with_edge(&view, Edge::new(200, 0));
+        assert!(view.lookups.get() <= 5, "{} lookups", view.lookups.get());
     }
 
     fn enumerate(g: &BipartiteGraph, edge: Edge) -> Vec<(u32, u32)> {
@@ -567,5 +737,41 @@ mod tests {
         assert_eq!(support, 1);
         // Deterministic tie-break: the largest edge key wins.
         assert_eq!(edge, Edge::new(1, 11));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random graphs the capped sum is exact below the cap and at
+        /// least the cap otherwise, and `cheapest_side` picks the side of
+        /// the uncapped `S(u) < S(v)` test.
+        #[test]
+        fn capped_sums_decide_the_side_like_full_sums(
+            edges in proptest::collection::vec((0u32..8, 0u32..8), 0..40),
+        ) {
+            let g = graph(&edges);
+            for id in 0..9u32 {
+                for v in [VertexRef::left(id), VertexRef::right(id)] {
+                    let exact = full_sum(&g, v);
+                    for cap in 0..=exact + 1 {
+                        let capped = g.view_neighbor_degree_sum_capped(v, cap);
+                        prop_assert!(
+                            if exact < cap { capped == exact } else { capped >= cap },
+                            "capped sum {capped} of {v} (cap {cap}, exact {exact})"
+                        );
+                    }
+                }
+            }
+            for l in 0..9u32 {
+                for r in 0..9u32 {
+                    let e = Edge::new(l, r);
+                    let (u, v) = (e.left_ref(), e.right_ref());
+                    let want = (g.view_degree(u) > 0 && g.view_degree(v) > 0).then(|| {
+                        if full_sum(&g, u) < full_sum(&g, v) { (u, v) } else { (v, u) }
+                    });
+                    prop_assert_eq!(cheapest_side(&g, e), want);
+                }
+            }
+        }
     }
 }

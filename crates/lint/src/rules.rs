@@ -101,7 +101,7 @@ impl Rule {
                  instead of re-spelling the literal"
             }
             Rule::HotPathAlloc => {
-                "reuse a recycled buffer (spare pools, clear-don't-drop, ViewScratch) instead \
+                "reuse a recycled buffer (spare pools, clear-don't-drop) instead \
                  of allocating per batch; one-time constructor or cold-path allocations are \
                  justified with `// lint:allow(hot-path-alloc): <why it is not per-batch>`"
             }

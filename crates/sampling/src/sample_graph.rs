@@ -39,7 +39,7 @@ use crate::store::SampleStore;
 use abacus_graph::adjacency::AdjacencySet;
 use abacus_graph::intersect::KernelTuning;
 use abacus_graph::persist::{Decoder, Encoder, PersistError};
-use abacus_graph::{Edge, EdgeKey, FxHashMap, NeighborhoodView, Side, VertexRef};
+use abacus_graph::{Edge, EdgeKey, FxHashMap, NeighborhoodView, PerEdgeCount, Side, VertexRef};
 use rand::{Rng, RngExt};
 
 /// First word of a [`SampleGraph::encode_state`] payload in the interned
@@ -187,6 +187,13 @@ impl SampleGraph {
     /// (`adj_spill_threshold`, `adj_first_reserve`) consumed on insert.
     pub fn set_kernel_tuning(&mut self, kernel: KernelTuning) {
         self.kernel = kernel;
+    }
+
+    /// The cutovers and layout knobs set by
+    /// [`set_kernel_tuning`](Self::set_kernel_tuning).
+    #[must_use]
+    pub fn kernel_tuning(&self) -> KernelTuning {
+        self.kernel
     }
 
     /// Number of sampled edges.
@@ -597,6 +604,24 @@ impl NeighborhoodView for SampleGraph {
         }
     }
 
+    /// Reads the neighbors' degrees straight from the opposite side's slab
+    /// and stops at the first partial sum that reaches `cap`.
+    #[inline]
+    fn view_neighbor_degree_sum_capped(&self, v: VertexRef, cap: usize) -> usize {
+        let Some(neighbors) = self.neighbors(v) else {
+            return 0;
+        };
+        let opposite = self.side(v.side.opposite());
+        let mut sum = 0usize;
+        for x in neighbors {
+            if sum >= cap {
+                break;
+            }
+            sum += opposite.get(x).map_or(0, AdjacencySet::len);
+        }
+        sum
+    }
+
     #[inline]
     fn view_intersection_excluding(
         &self,
@@ -615,6 +640,30 @@ impl NeighborhoodView for SampleGraph {
             ),
             _ => abacus_graph::intersect::IntersectionResult::default(),
         }
+    }
+
+    /// Resolves `other` once per edge, and each wedge vertex with one
+    /// interner lookup.
+    fn view_count_via_anchor(&self, anchor: VertexRef, other: VertexRef) -> PerEdgeCount {
+        let mut result = PerEdgeCount::default();
+        let (Some(anchor_set), Some(other_set)) = (self.neighbors(anchor), self.neighbors(other))
+        else {
+            return result;
+        };
+        let wedges = self.side(other.side);
+        for w in anchor_set.iter().filter(|&w| w != other.id) {
+            if let Some(w_set) = wedges.get(w) {
+                result.add_intersection(
+                    abacus_graph::intersect::intersection_count_excluding_with(
+                        w_set,
+                        other_set,
+                        anchor.id,
+                        self.kernel,
+                    ),
+                );
+            }
+        }
+        result
     }
 }
 

@@ -28,9 +28,9 @@ fn parabacus_matches_abacus_on_a_dataset_analog() {
         );
         parabacus.process_stream(&stream);
 
-        let scale = abacus.estimate().abs().max(1.0);
-        assert!(
-            (abacus.estimate() - parabacus.estimate()).abs() <= 1e-9 * scale,
+        assert_eq!(
+            abacus.estimate().to_bits(),
+            parabacus.estimate().to_bits(),
             "batch {batch_size}, threads {threads}: {} vs {}",
             abacus.estimate(),
             parabacus.estimate()
@@ -62,6 +62,5 @@ fn parabacus_partial_batches_flush_on_stream_end() {
     );
     parabacus.process_stream(&stream);
     assert_eq!(parabacus.pending_elements(), 0);
-    let scale = abacus.estimate().abs().max(1.0);
-    assert!((abacus.estimate() - parabacus.estimate()).abs() <= 1e-9 * scale);
+    assert_eq!(abacus.estimate().to_bits(), parabacus.estimate().to_bits());
 }

@@ -28,9 +28,15 @@ fn workload() -> GraphStream {
     )
 }
 
-/// Writes the workload once per format and returns (text path, binary path).
-fn workload_files(stream: &[StreamElement]) -> (PathBuf, PathBuf) {
-    let dir = std::env::temp_dir().join(format!("abacus_streaming_parity_{}", std::process::id()));
+/// Writes the workload once per format into a directory of `test`'s own and
+/// returns (text path, binary path).  The tests of this file run on parallel
+/// threads of one process, so a shared directory would let one test rewrite
+/// a file while another is reading it.
+fn workload_files(stream: &[StreamElement], test: &str) -> (PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!(
+        "abacus_streaming_parity_{}_{test}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let text = dir.join("stream.txt");
     let binary = dir.join("stream.abst");
@@ -102,7 +108,7 @@ fn assert_driver_parity<C: ButterflyCounter>(
 #[test]
 fn abacus_streamed_ingestion_is_bit_identical() {
     let stream = workload();
-    let (text, binary) = workload_files(&stream);
+    let (text, binary) = workload_files(&stream, "abacus");
     assert_driver_parity(
         "ABACUS",
         || Abacus::new(AbacusConfig::new(256).with_seed(9)),
@@ -121,7 +127,7 @@ fn abacus_streamed_ingestion_is_bit_identical() {
 #[test]
 fn parabacus_streamed_ingestion_is_bit_identical_across_depths() {
     let stream = workload();
-    let (text, binary) = workload_files(&stream);
+    let (text, binary) = workload_files(&stream, "parabacus");
     for depth in 1..=4usize {
         // Threads 2 exercises the worker pool: the coordinator reduces chunk
         // results in chunk order, so even multi-threaded runs stay
@@ -162,7 +168,7 @@ fn parabacus_streamed_ingestion_is_bit_identical_across_depths() {
 #[test]
 fn fleet_streamed_ingestion_is_bit_identical() {
     let stream = workload();
-    let (text, binary) = workload_files(&stream);
+    let (text, binary) = workload_files(&stream, "fleet");
     assert_driver_parity(
         "FLEET",
         || Fleet::new(FleetConfig::new(256).with_seed(3)),
@@ -187,7 +193,7 @@ fn fleet_streamed_ingestion_is_bit_identical() {
 #[test]
 fn cas_streamed_ingestion_is_bit_identical() {
     let stream = workload();
-    let (text, binary) = workload_files(&stream);
+    let (text, binary) = workload_files(&stream, "cas");
     assert_driver_parity(
         "CAS",
         || Cas::new(CasConfig::new(256).with_seed(3)),
@@ -211,7 +217,7 @@ fn cas_streamed_ingestion_is_bit_identical() {
 #[test]
 fn exact_oracle_streamed_ingestion_is_bit_identical() {
     let stream = workload();
-    let (text, binary) = workload_files(&stream);
+    let (text, binary) = workload_files(&stream, "exact");
     assert_driver_parity(
         "EXACT",
         ExactCounter::new,
@@ -232,7 +238,7 @@ fn exact_oracle_streamed_ingestion_is_bit_identical() {
 #[test]
 fn on_disk_formats_round_trip_the_workload() {
     let stream = workload();
-    let (text, binary) = workload_files(&stream);
+    let (text, binary) = workload_files(&stream, "round_trip");
     for path in [&text, &binary] {
         let mut source = open_path_source(path).unwrap();
         let decoded = read_all(&mut source).unwrap();
