@@ -14,9 +14,8 @@ pub const AUTO_SNAPSHOT_MIN_BUDGET: usize = 256;
 /// (see `abacus_graph::csr`) instead of the hash-backed sample itself.
 ///
 /// Which backing counts is purely a performance choice: estimates are
-/// bit-identical (up to floating-point summation order across worker
-/// threads) and the probe-model `comparisons` counters are unchanged, which
-/// the snapshot-parity test suite asserts.
+/// bit-identical at any thread count and the probe-model `comparisons`
+/// counters are unchanged, which the snapshot-parity tests assert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotMode {
     /// Always count against the hash-backed sample (the ablation baseline).

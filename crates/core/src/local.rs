@@ -109,12 +109,9 @@ impl LocalAbacus {
 
         // Iterate the neighborhood the kernel's own line-7 test picks, but
         // keep the identity of the fourth vertex so it can be credited.
-        let Some((anchor, other)) = cheapest_side(&self.sample, edge) else {
-            // An isolated endpoint completes no butterfly.
-            self.stats
-                .record_element(element.delta.is_insert(), discovered, comparisons);
-            return;
-        };
+        // An isolated endpoint (`None`) leaves the loop below no wedge to
+        // close, whichever side it iterates.
+        let (anchor, other) = cheapest_side(&self.sample, edge).unwrap_or((u, v));
         let wedge_side = anchor.side.opposite();
 
         let mut updates: Vec<(VertexRef, VertexRef)> = Vec::new();

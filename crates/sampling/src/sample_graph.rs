@@ -39,7 +39,7 @@ use crate::store::SampleStore;
 use abacus_graph::adjacency::AdjacencySet;
 use abacus_graph::intersect::KernelTuning;
 use abacus_graph::persist::{Decoder, Encoder, PersistError};
-use abacus_graph::{Edge, EdgeKey, FxHashMap, NeighborhoodView, PerEdgeCount, Side, VertexRef};
+use abacus_graph::{Edge, EdgeKey, FxHashMap, NeighborhoodView, Side, VertexRef};
 use rand::{Rng, RngExt};
 
 /// First word of a [`SampleGraph::encode_state`] payload in the interned
@@ -640,30 +640,6 @@ impl NeighborhoodView for SampleGraph {
             ),
             _ => abacus_graph::intersect::IntersectionResult::default(),
         }
-    }
-
-    /// Resolves `other` once per edge, and each wedge vertex with one
-    /// interner lookup.
-    fn view_count_via_anchor(&self, anchor: VertexRef, other: VertexRef) -> PerEdgeCount {
-        let mut result = PerEdgeCount::default();
-        let (Some(anchor_set), Some(other_set)) = (self.neighbors(anchor), self.neighbors(other))
-        else {
-            return result;
-        };
-        let wedges = self.side(other.side);
-        for w in anchor_set.iter().filter(|&w| w != other.id) {
-            if let Some(w_set) = wedges.get(w) {
-                result.add_intersection(
-                    abacus_graph::intersect::intersection_count_excluding_with(
-                        w_set,
-                        other_set,
-                        anchor.id,
-                        self.kernel,
-                    ),
-                );
-            }
-        }
-        result
     }
 }
 
