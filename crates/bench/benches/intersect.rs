@@ -1,28 +1,24 @@
 //! Intersection-kernel micro-benchmark: probe vs merge vs gallop across
 //! operand-size ratios.
 //!
-//! This is the sweep that justifies the default [`KernelTuning`] cutovers
-//! (`merge_size_ratio`, `gallop_size_ratio`): for a fixed smaller operand,
-//! the larger one grows by powers of two and every kernel family runs on the
-//! same pair —
+//! For a fixed smaller operand, the larger one grows by powers of two and
+//! every kernel family runs on the same pair —
 //!
-//! * `probe` — the hash-probe kernel, forced past the merge cutover,
+//! * `probe` — the hash-probe kernel over two adjacency sets,
 //! * `merge` — the classic two-pointer sorted merge,
-//! * `merge_branchless` — the retired arithmetic-advance merge variant
-//!   (bench-only, from [`abacus_bench::kernels`]; the sweep measured it at
-//!   2.7× the classic merge's latency on every ratio, and it stays in the
-//!   sweep precisely so that regression keeps being measured),
 //! * `gallop` — galloping (exponential) search of the larger slice,
-//! * `adaptive` — the production dispatch over the default cutovers.
+//! * `adaptive` — the CSR snapshot's dispatch between merge and gallop.
+//!
+//! The sorted kernels are timed on slices that are already sorted.  That
+//! is their cost inside the frozen CSR snapshot, but not over a live sample:
+//! there every mutation would force a re-sort, which this sweep never pays.
 //!
 //! Run with `cargo bench -p abacus-bench --bench intersect`.
 
 #![allow(missing_docs)] // criterion_group! expands to undocumented functions
 
-use abacus_bench::kernels::merge_branchless_intersection_count;
 use abacus_graph::intersect::{
-    intersection_count_with, sorted_adaptive_count, sorted_gallop_count,
-    sorted_merge_intersection_count, KernelTuning,
+    intersection_count, sorted_adaptive_count, sorted_gallop_count, sorted_merge_intersection_count,
 };
 use abacus_graph::AdjacencySet;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -63,13 +59,8 @@ fn bench_kernels_across_ratios(c: &mut Criterion) {
         let large_sorted = sorted_ids(SMALL_LEN * ratio, universe, &mut rng);
         let large_set: AdjacencySet = large_sorted.iter().copied().collect();
 
-        // Probe path regardless of ratio: merge cutover forced to 0.
-        let probe_only = KernelTuning {
-            merge_size_ratio: 0,
-            ..KernelTuning::default()
-        };
         group.bench_with_input(BenchmarkId::new("probe", ratio), &ratio, |b, _| {
-            b.iter(|| black_box(intersection_count_with(&small_set, &large_set, probe_only)));
+            b.iter(|| black_box(intersection_count(&small_set, &large_set)));
         });
         group.bench_with_input(BenchmarkId::new("merge", ratio), &ratio, |b, _| {
             b.iter(|| {
@@ -79,29 +70,11 @@ fn bench_kernels_across_ratios(c: &mut Criterion) {
                 ))
             });
         });
-        group.bench_with_input(
-            BenchmarkId::new("merge_branchless", ratio),
-            &ratio,
-            |b, _| {
-                b.iter(|| {
-                    black_box(merge_branchless_intersection_count(
-                        &small_sorted,
-                        &large_sorted,
-                    ))
-                });
-            },
-        );
         group.bench_with_input(BenchmarkId::new("gallop", ratio), &ratio, |b, _| {
             b.iter(|| black_box(sorted_gallop_count(&small_sorted, &large_sorted)));
         });
         group.bench_with_input(BenchmarkId::new("adaptive", ratio), &ratio, |b, _| {
-            b.iter(|| {
-                black_box(sorted_adaptive_count(
-                    &small_sorted,
-                    &large_sorted,
-                    KernelTuning::default(),
-                ))
-            });
+            b.iter(|| black_box(sorted_adaptive_count(&small_sorted, &large_sorted)));
         });
     }
     group.finish();

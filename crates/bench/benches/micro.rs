@@ -145,58 +145,12 @@ fn bench_streaming_estimators(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `adjacency_spill` sweep behind the defaults of
-/// `KernelTuning::adj_spill_threshold` / `adj_first_reserve`: end-to-end
-/// ABACUS runs (Random Pairing churn plus counting) with the inline→hash
-/// spill point and the first-insert reservation varied.  Layout knobs only —
-/// every configuration produces bit-identical estimates.
-fn bench_adjacency_spill(c: &mut Criterion) {
-    use abacus_graph::intersect::KernelTuning;
-    let mut group = c.benchmark_group("adjacency_spill");
-    group
-        .measurement_time(Duration::from_secs(3))
-        .sample_size(10);
-    let stream: Vec<StreamElement> = Dataset::MovielensLike
-        .stream(0.2, 0)
-        .into_iter()
-        .take(20_000)
-        .collect();
-    for &(spill, reserve) in &[
-        (8usize, 4usize),
-        (16, 4),
-        (16, 8),
-        (32, 4),
-        (32, 8),
-        (64, 8),
-    ] {
-        let label = format!("spill{spill}_reserve{reserve}");
-        group.bench_function(label.as_str(), |b| {
-            b.iter(|| {
-                let tuning = KernelTuning {
-                    adj_spill_threshold: spill,
-                    adj_first_reserve: reserve,
-                    ..KernelTuning::default()
-                };
-                let mut abacus = Abacus::new(
-                    AbacusConfig::new(1_500)
-                        .with_seed(1)
-                        .with_kernel_tuning(tuning),
-                );
-                abacus.process_stream(black_box(&stream));
-                black_box(abacus.estimate())
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_per_edge_counting,
     bench_side_choice_ablation,
     bench_intersection_kernels,
     bench_random_pairing,
-    bench_streaming_estimators,
-    bench_adjacency_spill
+    bench_streaming_estimators
 );
 criterion_main!(benches);

@@ -50,8 +50,7 @@ use abacus_core::{
     ViewKind, WindowedMonitor,
 };
 use abacus_graph::intersect::{
-    intersection_count_with, sorted_adaptive_count, sorted_gallop_count,
-    sorted_merge_intersection_count, KernelTuning,
+    intersection_count, sorted_adaptive_count, sorted_gallop_count, sorted_merge_intersection_count,
 };
 use abacus_graph::{
     bitruss_decomposition, AdjacencySet, BipartiteGraph, ClusteringState, EdgeSupports,
@@ -230,10 +229,6 @@ fn intersect_rows(trials: usize) -> Vec<Row> {
     let small_len = 256usize;
     let small_sorted = sorted_ids(small_len, &mut rng);
     let small_set: AdjacencySet = small_sorted.iter().copied().collect();
-    let probe_only = KernelTuning {
-        merge_size_ratio: 0,
-        ..KernelTuning::default()
-    };
     let mut rows = Vec::new();
     for ratio in [1usize, 8, 64] {
         let large_sorted = sorted_ids(small_len * ratio, &mut rng);
@@ -243,22 +238,13 @@ fn intersect_rows(trials: usize) -> Vec<Row> {
             (
                 format!("probe/ratio{ratio}"),
                 Box::new(|| {
-                    black_box(intersection_count_with(&small_set, &large_set, probe_only));
+                    black_box(intersection_count(&small_set, &large_set));
                 }),
             ),
             (
                 format!("merge/ratio{ratio}"),
                 Box::new(|| {
                     black_box(sorted_merge_intersection_count(
-                        &small_sorted,
-                        &large_sorted,
-                    ));
-                }),
-            ),
-            (
-                format!("merge_branchless/ratio{ratio}"),
-                Box::new(|| {
-                    black_box(abacus_bench::kernels::merge_branchless_intersection_count(
                         &small_sorted,
                         &large_sorted,
                     ));
@@ -273,11 +259,7 @@ fn intersect_rows(trials: usize) -> Vec<Row> {
             (
                 format!("adaptive/ratio{ratio}"),
                 Box::new(|| {
-                    black_box(sorted_adaptive_count(
-                        &small_sorted,
-                        &large_sorted,
-                        KernelTuning::default(),
-                    ));
+                    black_box(sorted_adaptive_count(&small_sorted, &large_sorted));
                 }),
             ),
         ];
@@ -290,11 +272,10 @@ fn intersect_rows(trials: usize) -> Vec<Row> {
                 ops_per_second: 1e9 / ns.max(1e-9),
             });
         }
-        // Regression gate for the KernelTuning cutovers: whatever the
-        // adaptive dispatch picked at this ratio, it must never be the
-        // measured-slowest kernel in the sweep — if it is, a cutover has
-        // rotted (e.g. the retired branchless merge sneaking back in would
-        // trip this immediately).
+        // Regression gate for the gallop cutover: whatever the adaptive
+        // dispatch picked at this ratio, it must never be the
+        // measured-slowest kernel in the sweep — if it is, the cutover has
+        // rotted.
         let slowest = ratio_rows
             .iter()
             .max_by(|a, b| a.median_ns_per_op.total_cmp(&b.median_ns_per_op))

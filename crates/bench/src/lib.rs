@@ -19,7 +19,6 @@
 
 pub mod datasets;
 pub mod experiments;
-pub mod kernels;
 pub mod runners;
 pub mod settings;
 

@@ -64,14 +64,10 @@ impl Abacus {
     /// ```
     #[must_use]
     pub fn new(config: AbacusConfig) -> Self {
-        let mut sample = SampleGraph::with_budget(config.budget);
-        sample.set_kernel_tuning(config.kernel);
         Abacus {
             config,
-            sample,
-            snapshot: config
-                .snapshot_enabled()
-                .then(|| CsrSnapshot::new(config.kernel)),
+            sample: SampleGraph::with_budget(config.budget),
+            snapshot: config.snapshot_enabled().then(CsrSnapshot::new),
             policy: RandomPairing::new(config.budget),
             rng: StdRng::seed_from_u64(config.seed),
             estimate: 0.0,
@@ -166,14 +162,12 @@ impl ButterflyCounter for Abacus {
 
     fn memory_edges(&self) -> usize {
         // Honest accounting: besides the sampled edges themselves, charge the
-        // memoised sorted copies of hub adjacency sets and the CSR snapshot
-        // arenas (in edge equivalents), so the Table 2 memory numbers include
-        // every counting-side duplicate of the sample.
-        let aux = self.sample.sorted_cache_entries()
-            + self
-                .snapshot
-                .as_ref()
-                .map_or(0, CsrSnapshot::resident_entries);
+        // CSR snapshot arenas (in edge equivalents), so the Table 2 memory
+        // numbers include the counting-side duplicate of the sample.
+        let aux = self
+            .snapshot
+            .as_ref()
+            .map_or(0, CsrSnapshot::resident_entries);
         self.sample.len() + entries_to_edge_equivalents(aux)
     }
 
@@ -245,10 +239,7 @@ impl ButterflyCounter for Abacus {
         self.stats = crate::persist::decode_stats(&mut dec)?;
         dec.expect_end()?;
         if snapshot_present {
-            self.snapshot = Some(CsrSnapshot::from_edges(
-                self.sample.edges().iter().copied(),
-                self.config.kernel,
-            ));
+            self.snapshot = Some(CsrSnapshot::from_edges(self.sample.edges().iter().copied()));
         }
         Ok(())
     }
@@ -269,6 +260,46 @@ mod tests {
         StreamElement::delete(Edge::new(l, r))
     }
 
+    /// The history behind the compatibility tests: a promoted hub (left 7),
+    /// a spread of small vertices, then enough deletions to free interner
+    /// slots and shrink (not demote) the hub.
+    fn run_with_shrunk_hub(config: AbacusConfig) -> Abacus {
+        let mut abacus = Abacus::new(config);
+        for r in 0..40u32 {
+            abacus.process(ins(7, 100 + r));
+        }
+        for l in 0..20u32 {
+            abacus.process(ins(l, 500 + (l % 5)));
+        }
+        for r in 0..10u32 {
+            abacus.process(del(7, 100 + r));
+        }
+        abacus
+    }
+
+    /// Drives both estimators over one mixed insert/delete suffix, long
+    /// enough to overflow the budget and draw evictions from the RNG, and
+    /// asserts they stay in lockstep: estimate bits after every element,
+    /// then sampler state and work counters.
+    fn assert_lockstep(reference: &mut Abacus, restored: &mut Abacus) {
+        for i in 0..240u32 {
+            let element = if i % 3 == 2 {
+                del(i % 8, 500 + (i % 5))
+            } else {
+                ins(40 + i, 600 + (i % 7))
+            };
+            reference.process(element);
+            restored.process(element);
+            assert_eq!(
+                restored.estimate().to_bits(),
+                reference.estimate().to_bits(),
+                "element {i}"
+            );
+        }
+        assert_eq!(restored.sampler_state(), reference.sampler_state());
+        assert_eq!(restored.stats(), reference.stats());
+    }
+
     /// A pre-interning writer's ABSNAP1 estimator payload — whose sample
     /// section is the legacy format (edge count, edges in slot order,
     /// per-side representation flags) — must restore into the current
@@ -285,18 +316,7 @@ mod tests {
         let config = AbacusConfig::new(150)
             .with_seed(9)
             .with_snapshot(SnapshotMode::Off);
-        let mut reference = Abacus::new(config);
-        // A promoted hub (left 7), a spread of small vertices, then enough
-        // deletions to free interner slots and shrink (not demote) the hub.
-        for r in 0..40u32 {
-            reference.process(ins(7, 100 + r));
-        }
-        for l in 0..20u32 {
-            reference.process(ins(l, 500 + (l % 5)));
-        }
-        for r in 0..10u32 {
-            reference.process(del(7, 100 + r));
-        }
+        let mut reference = run_with_shrunk_hub(config);
 
         // Hand-encode the payload exactly as the pre-interning build wrote
         // it: identical header, RNG words, estimate, and stats; the sample
@@ -330,17 +350,17 @@ mod tests {
                     continue;
                 }
                 seen.push(id);
-                if let Some(large) = sample
+                if sample
                     .neighbors(VertexRef { side, id })
-                    .and_then(AdjacencySet::as_large)
+                    .is_some_and(AdjacencySet::is_large)
                 {
-                    flags.push((id, large.sorted_cache_len().is_some()));
+                    flags.push(id);
                 }
             }
             enc.put_usize(flags.len());
-            for (id, cached) in flags {
+            for id in flags {
                 enc.put_u32(id);
-                enc.put_u8(u8::from(cached));
+                enc.put_u8(1); // "sorted copy built": read and dropped
             }
         }
         enc.put_f64(reference.estimate());
@@ -355,21 +375,78 @@ mod tests {
 
         // The divergent interner internals must be invisible: both runs stay
         // in lockstep over a mixed insert/delete suffix.
-        for i in 0..60u32 {
-            let element = if i % 3 == 2 {
-                del(i % 8, 500 + (i % 5))
-            } else {
-                ins(40 + i, 600 + (i % 7))
-            };
-            reference.process(element);
-            restored.process(element);
-            assert_eq!(restored.estimate(), reference.estimate(), "element {i}");
-        }
-        assert_eq!(restored.stats(), reference.stats());
+        assert_lockstep(&mut reference, &mut restored);
         // (A byte-level re-save comparison would be too strong here: the
         // reference's interner remembers slots freed before the save point,
         // which a legacy payload cannot carry — behavior, not layout, is the
         // cross-version contract.)
+    }
+
+    /// An ABSNAP1 estimator payload whose sample section is version 1 of the
+    /// interned format — each hub id followed by a byte saying whether its
+    /// sorted copy was built — restores, re-saves as the current payload
+    /// byte for byte, and stays bit-exact from there on.
+    #[test]
+    fn absnap_payload_with_version_one_sample_section_restores_bit_exact() {
+        use crate::SnapshotMode;
+
+        let config = AbacusConfig::new(150)
+            .with_seed(9)
+            .with_snapshot(SnapshotMode::Off);
+        let mut reference = run_with_shrunk_hub(config);
+        let current = reference.save_state().unwrap();
+
+        // Rewrite the current payload's sample section as version 1: the
+        // same fields, version byte 1, and a set byte after every hub id.
+        let mut dec = Decoder::new(&current);
+        let mut enc = Encoder::new();
+        // Budget, seed, snapshot flag, Random Pairing triplet, RNG words.
+        enc.put_usize(dec.get_usize().unwrap());
+        enc.put_u64(dec.get_u64().unwrap());
+        enc.put_u8(dec.get_u8().unwrap());
+        for _ in 0..3 {
+            enc.put_usize(dec.get_usize().unwrap());
+        }
+        for _ in 0..4 {
+            enc.put_u64(dec.get_u64().unwrap());
+        }
+        // Sample section: marker, version, edges in slot order.
+        enc.put_usize(dec.get_usize().unwrap());
+        assert_eq!(dec.get_u8().unwrap(), 2, "current sample-section version");
+        enc.put_u8(1);
+        let edges = dec.get_usize().unwrap();
+        enc.put_usize(edges);
+        for _ in 0..2 * edges {
+            enc.put_u32(dec.get_u32().unwrap());
+        }
+        // Per side: the interner's reverse array, then its free list.
+        for _ in 0..2 * 2 {
+            let len = dec.get_usize().unwrap();
+            enc.put_usize(len);
+            for _ in 0..len {
+                enc.put_u32(dec.get_u32().unwrap());
+            }
+        }
+        // Per side: the promoted hub ids.
+        let mut hubs = 0;
+        for _ in 0..2 {
+            let flagged = dec.get_usize().unwrap();
+            enc.put_usize(flagged);
+            for _ in 0..flagged {
+                enc.put_u32(dec.get_u32().unwrap());
+                enc.put_u8(1); // "sorted copy built": read and dropped
+                hubs += 1;
+            }
+        }
+        assert!(hubs > 0, "the history must leave a promoted hub");
+        // Estimate bits and work counters.
+        enc.put_raw(dec.get_raw(dec.remaining()).unwrap());
+        let version_one = enc.finish();
+
+        let mut restored = Abacus::new(config);
+        restored.restore_state(&version_one).unwrap();
+        assert_eq!(restored.save_state().unwrap(), current);
+        assert_lockstep(&mut reference, &mut restored);
     }
 
     /// With a budget that exceeds the stream size, ABACUS degenerates to exact
@@ -394,8 +471,7 @@ mod tests {
         }
         assert_eq!(abacus.name(), "ABACUS");
         // Auto keeps the sequential estimator on the hash path (no snapshot
-        // arenas) and the sets are too small for sorted caches, so the
-        // accounting sees exactly the sampled edges.
+        // arenas), so the accounting sees exactly the sampled edges.
         assert_eq!(abacus.sample().len(), 4);
         assert_eq!(abacus.memory_edges(), 4);
         assert_eq!(abacus.stats().elements, 8);
@@ -413,9 +489,9 @@ mod tests {
         for element in &stream {
             abacus.process(*element);
             assert!(abacus.sample().len() <= 64);
-            // Auxiliary structures (sorted caches; no snapshot at this
-            // budget) are bounded by one duplicate of the sample.
-            assert!(abacus.memory_edges() <= 2 * 64);
+            // No snapshot at this budget: the accounting sees exactly the
+            // sampled edges.
+            assert_eq!(abacus.memory_edges(), abacus.sample().len());
         }
         assert_eq!(
             abacus.sampler_state().live_items,

@@ -1,7 +1,5 @@
 //! Estimator configuration.
 
-use abacus_graph::intersect::KernelTuning;
-
 /// Smallest budget at which [`SnapshotMode::Auto`] enables the frozen CSR
 /// counting snapshot.
 ///
@@ -71,8 +69,6 @@ pub struct AbacusConfig {
     pub seed: u64,
     /// Whether counting runs against the frozen CSR snapshot.
     pub snapshot: SnapshotMode,
-    /// Cutover ratios of the adaptive intersection kernels.
-    pub kernel: KernelTuning,
 }
 
 impl AbacusConfig {
@@ -90,7 +86,6 @@ impl AbacusConfig {
             budget,
             seed: 0,
             snapshot: SnapshotMode::default(),
-            kernel: KernelTuning::default(),
         }
     }
 
@@ -105,13 +100,6 @@ impl AbacusConfig {
     #[must_use]
     pub fn with_snapshot(mut self, snapshot: SnapshotMode) -> Self {
         self.snapshot = snapshot;
-        self
-    }
-
-    /// Returns the configuration with different kernel cutovers.
-    #[must_use]
-    pub fn with_kernel_tuning(mut self, kernel: KernelTuning) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -159,8 +147,6 @@ pub struct ParAbacusConfig {
     pub pipeline_depth: usize,
     /// Whether phase-2 counting runs against the frozen CSR snapshot.
     pub snapshot: SnapshotMode,
-    /// Cutover ratios of the adaptive intersection kernels.
-    pub kernel: KernelTuning,
 }
 
 impl ParAbacusConfig {
@@ -182,7 +168,6 @@ impl ParAbacusConfig {
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             pipeline_depth: 2,
             snapshot: SnapshotMode::default(),
-            kernel: KernelTuning::default(),
         }
     }
 
@@ -233,13 +218,6 @@ impl ParAbacusConfig {
         self
     }
 
-    /// Returns the configuration with different kernel cutovers.
-    #[must_use]
-    pub fn with_kernel_tuning(mut self, kernel: KernelTuning) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Whether this configuration is *eligible* to count against the CSR
     /// snapshot: always under `On`, never under `Off`, and — under `Auto` —
     /// when the budget clears [`AUTO_SNAPSHOT_MIN_BUDGET`].  For an eligible
@@ -251,15 +229,14 @@ impl ParAbacusConfig {
         self.snapshot.enabled_for(self.budget)
     }
 
-    /// The equivalent sequential configuration (same budget, seed, snapshot
-    /// mode, and kernel cutovers).
+    /// The equivalent sequential configuration (same budget, seed and
+    /// snapshot mode).
     #[must_use]
     pub fn sequential(&self) -> AbacusConfig {
         AbacusConfig {
             budget: self.budget,
             seed: self.seed,
             snapshot: self.snapshot,
-            kernel: self.kernel,
         }
     }
 }
@@ -301,25 +278,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_kernel_settings_flow_through_builders() {
-        let tuning = KernelTuning {
-            merge_size_ratio: 3,
-            gallop_size_ratio: 99,
-            ..KernelTuning::default()
-        };
-        let c = AbacusConfig::new(100)
-            .with_snapshot(SnapshotMode::On)
-            .with_kernel_tuning(tuning);
+    fn snapshot_settings_flow_through_builders() {
+        let c = AbacusConfig::new(100).with_snapshot(SnapshotMode::On);
         assert!(c.snapshot_enabled());
-        assert_eq!(c.kernel, tuning);
 
-        let p = ParAbacusConfig::new(100)
-            .with_snapshot(SnapshotMode::Off)
-            .with_kernel_tuning(tuning);
+        let p = ParAbacusConfig::new(100).with_snapshot(SnapshotMode::Off);
         assert!(!p.snapshot_enabled());
         let seq = p.sequential();
         assert_eq!(seq.snapshot, SnapshotMode::Off);
-        assert_eq!(seq.kernel, tuning);
         // Auto: the parallel estimator is eligible above the budget
         // threshold; the sequential one stays on the hash path (per-element
         // mirroring measured slower than the kernels it feeds).

@@ -28,7 +28,6 @@ use crate::circuit::ViewKind;
 use crate::config::SnapshotMode;
 use crate::counter::ButterflyCounter;
 use crate::engine::{EnsembleMode, EstimatorKind, EstimatorSpec};
-use abacus_graph::intersect::KernelTuning;
 use abacus_graph::persist::{crc32, format, Decoder, Encoder, PersistError};
 use abacus_stream::persist::{
     prune_segments, read_watermark, replay_wal, seal_tail, write_watermark,
@@ -54,6 +53,12 @@ pub const SNAPSHOTS_KEPT: usize = 2;
 const SECTION_META: u8 = 1;
 /// Section tag: the estimator's `save_state` payload.
 const SECTION_STATE: u8 = 2;
+
+/// Word a manifest writes after the estimator kind to mark its layout.
+/// Older manifests put the budget there, which is never `usize::MAX` (no
+/// sample that large fits in memory), and carried two intersection-kernel
+/// cutovers after the snapshot byte; [`RunManifest::read`] drops those.
+const MANIFEST_LAYOUT_MARKER: usize = usize::MAX;
 
 fn snapshot_file_name(elements: u64) -> String {
     format!("snap-{elements:020}.absnap")
@@ -267,6 +272,7 @@ impl RunManifest {
     fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_str(self.spec.kind.name());
+        enc.put_usize(MANIFEST_LAYOUT_MARKER);
         enc.put_usize(self.spec.budget);
         enc.put_u64(self.spec.seed);
         enc.put_usize(self.spec.batch_size);
@@ -277,8 +283,6 @@ impl RunManifest {
             SnapshotMode::On => 1,
             SnapshotMode::Auto => 2,
         });
-        enc.put_usize(self.spec.kernel.merge_size_ratio);
-        enc.put_usize(self.spec.kernel.gallop_size_ratio);
         enc.put_usize(self.views.len());
         for view in &self.views {
             enc.put_str(view.name());
@@ -302,7 +306,13 @@ impl RunManifest {
         let kind = dec.get_str()?;
         let kind = EstimatorKind::parse(kind)
             .map_err(|_| PersistError::Corrupt(format!("unknown estimator kind '{kind}'")))?;
-        let budget = dec.get_usize()?;
+        let first = dec.get_usize()?;
+        let cutover_layout = first != MANIFEST_LAYOUT_MARKER;
+        let budget = if cutover_layout {
+            first
+        } else {
+            dec.get_usize()?
+        };
         if budget < 2 {
             return Err(PersistError::Corrupt(format!(
                 "manifest budget {budget} is below the minimum of 2"
@@ -323,13 +333,11 @@ impl RunManifest {
                 )))
             }
         });
-        // The adjacency layout knobs are deliberately absent from the
-        // manifest (they cannot change results); restores get the defaults.
-        spec = spec.with_kernel_tuning(KernelTuning {
-            merge_size_ratio: dec.get_usize()?,
-            gallop_size_ratio: dec.get_usize()?,
-            ..KernelTuning::default()
-        });
+        if cutover_layout {
+            // The retired merge and gallop cutovers never changed a result.
+            dec.get_usize()?;
+            dec.get_usize()?;
+        }
         let num_views = dec.get_usize()?;
         if num_views > ViewKind::ALL.len() {
             return Err(PersistError::Corrupt(format!(
@@ -784,6 +792,67 @@ mod tests {
             RunManifest::read(&dir),
             Err(PersistError::Corrupt(_))
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A manifest in the older layout — no layout marker, and the merge and
+    /// gallop cutovers after the snapshot byte — still decodes to the same
+    /// run, and a crashed run checkpointed under it resumes bit-identically.
+    #[test]
+    fn manifest_with_kernel_cutovers_decodes_and_resumes() {
+        let stream = dynamic_stream(19, 1_200);
+        let every = 256u64;
+        let manifest = RunManifest::new(EstimatorSpec::abacus(200).with_seed(13), every)
+            .with_views(&[ViewKind::PerEdge]);
+
+        let ref_dir = test_dir("cutover-manifest-reference");
+        let mut reference = Checkpointer::create(&ref_dir, manifest.clone()).unwrap();
+        for &element in &stream {
+            reference.offer(element).unwrap();
+        }
+        let reference_estimate = reference.finish().unwrap();
+
+        let crash_at = 700usize;
+        let dir = test_dir("cutover-manifest-crash");
+        let mut interrupted = Checkpointer::create(&dir, manifest.clone()).unwrap();
+        for &element in &stream[..crash_at] {
+            interrupted.offer(element).unwrap();
+        }
+        drop(interrupted);
+
+        // Replace the manifest with the same run in the older layout.
+        let spec = manifest.spec;
+        let mut enc = Encoder::new();
+        enc.put_str(spec.kind.name());
+        enc.put_usize(spec.budget);
+        enc.put_u64(spec.seed);
+        enc.put_usize(spec.batch_size);
+        enc.put_usize(spec.threads);
+        enc.put_usize(spec.pipeline_depth);
+        enc.put_u8(2); // SnapshotMode::Auto
+        enc.put_usize(8); // merge_size_ratio
+        enc.put_usize(128); // gallop_size_ratio
+        enc.put_usize(1);
+        enc.put_str(ViewKind::PerEdge.name());
+        enc.put_u8(0); // not an ensemble
+        enc.put_u64(every);
+        let payload = enc.finish();
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        fs::write(dir.join(MANIFEST_FILE), bytes).unwrap();
+        assert_eq!(RunManifest::read(&dir).unwrap(), manifest);
+
+        let mut resumed = Checkpointer::resume(&dir).unwrap().checkpointer;
+        assert_eq!(resumed.elements(), crash_at as u64);
+        for &element in &stream[crash_at..] {
+            resumed.offer(element).unwrap();
+        }
+        assert_eq!(
+            resumed.finish().unwrap().to_bits(),
+            reference_estimate.to_bits()
+        );
+        fs::remove_dir_all(&ref_dir).unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 

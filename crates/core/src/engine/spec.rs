@@ -5,7 +5,6 @@ use crate::config::{AbacusConfig, ParAbacusConfig, SnapshotMode};
 use crate::counter::ButterflyCounter;
 use crate::{Abacus, ExactCounter, LocalAbacus, ParAbacus};
 use abacus_baselines::{Cas, CasConfig, Fleet, FleetConfig};
-use abacus_graph::intersect::KernelTuning;
 use serde::{Deserialize, Serialize};
 
 /// Every estimator the registry can build.
@@ -133,8 +132,6 @@ pub struct EstimatorSpec {
     pub pipeline_depth: usize,
     /// Frozen-CSR counting snapshot mode (ABACUS/PARABACUS).
     pub snapshot: SnapshotMode,
-    /// Adaptive intersection-kernel cutovers (ABACUS/PARABACUS).
-    pub kernel: KernelTuning,
 }
 
 impl EstimatorSpec {
@@ -161,7 +158,6 @@ impl EstimatorSpec {
             threads: parallel_defaults.threads,
             pipeline_depth: parallel_defaults.pipeline_depth,
             snapshot: SnapshotMode::default(),
-            kernel: KernelTuning::default(),
         }
     }
 
@@ -259,13 +255,6 @@ impl EstimatorSpec {
         self
     }
 
-    /// Returns the spec with different kernel cutovers.
-    #[must_use]
-    pub fn with_kernel_tuning(mut self, kernel: KernelTuning) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// The equivalent sequential-ABACUS configuration (shared by the ABACUS
     /// and LOCAL kinds).
     #[must_use]
@@ -273,7 +262,6 @@ impl EstimatorSpec {
         AbacusConfig::new(self.budget)
             .with_seed(self.seed)
             .with_snapshot(self.snapshot)
-            .with_kernel_tuning(self.kernel)
     }
 
     /// The equivalent PARABACUS configuration.
@@ -285,7 +273,6 @@ impl EstimatorSpec {
             .with_threads(self.threads)
             .with_pipeline_depth(self.pipeline_depth)
             .with_snapshot(self.snapshot)
-            .with_kernel_tuning(self.kernel)
     }
 
     /// Builds the described estimator — the single construction point every
@@ -387,18 +374,12 @@ mod tests {
 
     #[test]
     fn specs_flow_their_knobs_into_the_configs() {
-        let tuning = KernelTuning {
-            merge_size_ratio: 3,
-            gallop_size_ratio: 50,
-            ..KernelTuning::default()
-        };
         let spec = EstimatorSpec::parabacus(128)
             .with_seed(9)
             .with_batch_size(64)
             .with_threads(2)
             .with_pipeline_depth(3)
-            .with_snapshot(SnapshotMode::On)
-            .with_kernel_tuning(tuning);
+            .with_snapshot(SnapshotMode::On);
         let config = spec.parabacus_config();
         assert_eq!(config.budget, 128);
         assert_eq!(config.seed, 9);
@@ -406,11 +387,9 @@ mod tests {
         assert_eq!(config.threads, 2);
         assert_eq!(config.pipeline_depth, 3);
         assert_eq!(config.snapshot, SnapshotMode::On);
-        assert_eq!(config.kernel, tuning);
         let sequential = spec.abacus_config();
         assert_eq!(sequential.seed, 9);
         assert_eq!(sequential.snapshot, SnapshotMode::On);
-        assert_eq!(sequential.kernel, tuning);
     }
 
     #[test]

@@ -193,11 +193,9 @@ impl ParAbacus {
     /// ```
     #[must_use]
     pub fn new(config: ParAbacusConfig) -> Self {
-        let mut sample = SampleGraph::with_budget(config.budget);
-        sample.set_kernel_tuning(config.kernel);
         ParAbacus {
             config,
-            sample: Arc::new(sample),
+            sample: Arc::new(SampleGraph::with_budget(config.budget)),
             snapshot: None,
             replayed_ops: 0,
             density_marker: (0, 0),
@@ -327,9 +325,8 @@ impl ParAbacus {
     /// mutation, measured batch-over-batch via `density_marker`).  Below
     /// the band (mutation-dominated workloads, Orkut-like at ~0.1
     /// probes/element) the replay costs more than it saves.  The band also
-    /// has a ceiling: far above it, the hash path — with its memoised
-    /// sorted hub copies — is already cache-hot and the marginal kernel
-    /// savings no longer cover the maintenance.  The fig9 sweeps behind
+    /// has a ceiling: far above it, the hash path is already cache-hot and
+    /// the marginal kernel savings no longer cover the maintenance.  The fig9 sweeps behind
     /// `BENCH_parabacus.json` put the hub-skewed Trackers-like analog at
     /// density ~18 probes/op and the probe-dense Movielens-like analog at
     /// ~60; with the interned sample store and pooled view scratch, forcing
@@ -548,7 +545,6 @@ impl ParAbacus {
                     // make rare.
                     self.snapshot = Some(Arc::new(CsrSnapshot::from_edges(
                         self.sample.edges().iter().copied(),
-                        self.config.kernel,
                     )));
                 }
             }
@@ -652,13 +648,12 @@ impl ButterflyCounter for ParAbacus {
 
     fn memory_edges(&self) -> usize {
         // Honest accounting, mirroring `Abacus::memory_edges`: buffered
-        // elements, sampled edges, plus the edge equivalents of the memoised
-        // sorted copies and the CSR snapshot arenas.
-        let aux = self.sample.sorted_cache_entries()
-            + self
-                .snapshot
-                .as_deref()
-                .map_or(0, CsrSnapshot::resident_entries);
+        // elements, sampled edges, plus the edge equivalents of the CSR
+        // snapshot arenas.
+        let aux = self
+            .snapshot
+            .as_deref()
+            .map_or(0, CsrSnapshot::resident_entries);
         self.sample.len() + self.buffer.len() + entries_to_edge_equivalents(aux)
     }
 
@@ -763,12 +758,8 @@ impl ButterflyCounter for ParAbacus {
         }
         self.batches = dec.get_u64()?;
         dec.expect_end()?;
-        self.snapshot = snapshot_present.then(|| {
-            Arc::new(CsrSnapshot::from_edges(
-                self.sample.edges().iter().copied(),
-                self.config.kernel,
-            ))
-        });
+        self.snapshot = snapshot_present
+            .then(|| Arc::new(CsrSnapshot::from_edges(self.sample.edges().iter().copied())));
         self.buffer.clear();
         self.spare_sample = None;
         Ok(())

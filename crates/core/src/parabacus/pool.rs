@@ -305,7 +305,6 @@ mod tests {
 
     #[test]
     fn snapshot_backed_tasks_count_identically() {
-        use abacus_graph::intersect::KernelTuning;
         let batch = vec![
             StreamElement::insert(Edge::new(0, 10)),
             StreamElement::delete(Edge::new(0, 10)),
@@ -314,7 +313,6 @@ mod tests {
         let mut snap_task = hash_task.clone();
         snap_task.snapshot = Some(Arc::new(CsrSnapshot::from_edges(
             hash_task.sample.edges().iter().copied(),
-            KernelTuning::default(),
         )));
         let hash_result = execute_task(hash_task);
         let snap_result = execute_task(snap_task);

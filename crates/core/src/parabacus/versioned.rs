@@ -55,7 +55,7 @@ use crate::sample_graph::SampleGraph;
 use crate::snapshot::hybrid_intersection_excluding;
 use abacus_graph::adjacency::AdjacencySet;
 use abacus_graph::csr::CsrSnapshot;
-use abacus_graph::intersect::{intersection_count_excluding_with, IntersectionResult};
+use abacus_graph::intersect::{intersection_count_excluding, IntersectionResult};
 use abacus_graph::{Edge, FxHashMap, NeighborhoodView, PerEdgeCount, VertexRef};
 use abacus_sampling::SampleStore;
 use rand::Rng;
@@ -644,21 +644,18 @@ impl<'a> VersionView<'a> {
             // kernels apply.  They iterate the smaller operand (ties: the
             // first) and report probe-model comparisons, exactly like the
             // loop below.
-            return match (self.snapshot, a.row, b.row) {
-                (Some(snapshot), Some(ra), Some(rb)) => hybrid_intersection_excluding(
-                    ra,
-                    rb,
-                    exclude,
-                    snapshot.tuning(),
-                    |b_is_large| if b_is_large { b.set } else { a.set },
-                ),
+            return match (a.row, b.row) {
+                (Some(ra), Some(rb)) => {
+                    hybrid_intersection_excluding(ra, rb, exclude, |b_is_large| {
+                        if b_is_large {
+                            b.set
+                        } else {
+                            a.set
+                        }
+                    })
+                }
                 _ => match (a.set, b.set) {
-                    (Some(sa), Some(sb)) => intersection_count_excluding_with(
-                        sa,
-                        sb,
-                        exclude,
-                        self.sample.kernel_tuning(),
-                    ),
+                    (Some(sa), Some(sb)) => intersection_count_excluding(sa, sb, exclude),
                     _ => IntersectionResult::default(),
                 },
             };
@@ -974,7 +971,6 @@ mod tests {
             seed in any::<u64>(),
         ) {
             use abacus_graph::csr::CsrSnapshot;
-            use abacus_graph::intersect::KernelTuning;
 
             let mut sample = SampleGraph::new();
             for i in 0..4u32 {
@@ -1004,10 +1000,7 @@ mod tests {
                 }
             }
             deltas.seal(&sample);
-            let snapshot = CsrSnapshot::from_edges(
-                sample.edges().iter().copied(),
-                KernelTuning::default(),
-            );
+            let snapshot = CsrSnapshot::from_edges(sample.edges().iter().copied());
 
             for v in 0..=versions {
                 let hash_view = VersionView::new(&sample, &deltas, v);

@@ -20,11 +20,15 @@ use crate::sample_graph::SampleGraph;
 use abacus_graph::adjacency::AdjacencySet;
 use abacus_graph::csr::CsrSnapshot;
 use abacus_graph::intersect::{
-    slice_probe_excluding, sorted_intersection_excluding, IntersectionResult, KernelTuning,
+    slice_probe_excluding, sorted_intersection_excluding, IntersectionResult,
 };
 use abacus_graph::{Edge, NeighborhoodView, VertexRef};
 use abacus_sampling::SampleStore;
 use rand::Rng;
+
+/// [`SnapshotView`] probes a hub's hash set instead of merging the sorted
+/// rows once the larger row exceeds this multiple of the smaller one.
+const HYBRID_SIZE_RATIO: usize = 8;
 
 /// The hybrid counting view ABACUS (and the PARABACUS fast path) intersects
 /// against when the snapshot is enabled: CSR rows for iteration, degrees,
@@ -85,7 +89,6 @@ impl NeighborhoodView for SnapshotView<'_> {
             self.snapshot.row(a),
             self.snapshot.row(b),
             exclude,
-            self.snapshot.tuning(),
             |b_is_large| self.sample.neighbors(if b_is_large { b } else { a }),
         )
     }
@@ -101,7 +104,6 @@ pub(crate) fn hybrid_intersection_excluding<'s>(
     ra: &[u32],
     rb: &[u32],
     exclude: u32,
-    tuning: KernelTuning,
     large_set: impl FnOnce(bool) -> Option<&'s AdjacencySet>,
 ) -> IntersectionResult {
     let b_is_large = ra.len() <= rb.len();
@@ -109,13 +111,13 @@ pub(crate) fn hybrid_intersection_excluding<'s>(
     if small_row.is_empty() {
         return IntersectionResult::default();
     }
-    if large_row.len() > small_row.len().saturating_mul(tuning.merge_size_ratio) {
+    if large_row.len() > small_row.len().saturating_mul(HYBRID_SIZE_RATIO) {
         // Skewed: probe the hub's hash set if it has one.
-        if let Some(set) = large_set(b_is_large).filter(|set| set.as_large().is_some()) {
+        if let Some(set) = large_set(b_is_large).filter(|set| set.is_large()) {
             return slice_probe_excluding(small_row, set, exclude);
         }
     }
-    sorted_intersection_excluding(small_row, large_row, exclude, tuning)
+    sorted_intersection_excluding(small_row, large_row, exclude)
 }
 
 /// A [`SampleStore`] that applies every mutation to the live sample *and*
@@ -170,13 +172,13 @@ impl SampleStore<Edge> for MirroredSample<'_> {
 
     fn store_clear(&mut self) {
         self.sample.store_clear();
-        *self.snapshot = CsrSnapshot::new(self.snapshot.tuning());
+        *self.snapshot = CsrSnapshot::new();
     }
 }
 
-/// Converts auxiliary `u32` entry counts (sorted-copy caches, snapshot
-/// arenas) into edge equivalents for `memory_edges` accounting: one resident
-/// [`Edge`] is two `u32` endpoints.
+/// Converts auxiliary `u32` entry counts (snapshot arenas) into edge
+/// equivalents for `memory_edges` accounting: one resident [`Edge`] is two
+/// `u32` endpoints.
 #[must_use]
 pub fn entries_to_edge_equivalents(entries: usize) -> usize {
     entries.div_ceil(2)
@@ -185,7 +187,6 @@ pub fn entries_to_edge_equivalents(entries: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abacus_graph::intersect::KernelTuning;
     use abacus_graph::{cheapest_side, NeighborhoodView, VertexRef};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -222,7 +223,7 @@ mod tests {
     #[test]
     fn mirrored_mutations_keep_sample_and_snapshot_identical() {
         let mut sample = SampleGraph::with_budget(16);
-        let mut snapshot = CsrSnapshot::new(KernelTuning::default());
+        let mut snapshot = CsrSnapshot::new();
         let mut rng = StdRng::seed_from_u64(3);
         {
             let mut mirrored = MirroredSample::new(&mut sample, &mut snapshot);
@@ -242,7 +243,7 @@ mod tests {
     #[test]
     fn clear_resets_both_sides() {
         let mut sample = SampleGraph::new();
-        let mut snapshot = CsrSnapshot::new(KernelTuning::default());
+        let mut snapshot = CsrSnapshot::new();
         let mut mirrored = MirroredSample::new(&mut sample, &mut snapshot);
         mirrored.store_insert(edge(1, 2));
         mirrored.store_clear();
@@ -270,7 +271,7 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let mut sample = SampleGraph::new();
-            let mut snapshot = CsrSnapshot::new(KernelTuning::default());
+            let mut snapshot = CsrSnapshot::new();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut mirrored = MirroredSample::new(&mut sample, &mut snapshot);
             for (op, l, r) in ops {

@@ -7,32 +7,27 @@
 //! * small sets are an unsorted `Vec<u32>` (linear membership probes are
 //!   faster than hashing below a few dozen elements and use a fraction of the
 //!   memory),
-//! * once a set grows beyond [`SMALL_THRESHOLD`] elements it is promoted to an
+//! * once a set grows beyond 32 elements it is promoted to an
 //!   [`FxHashSet`] with O(1) expected membership.
 //!
 //! The container never stores duplicates and supports O(1) expected insert,
 //! remove and membership operations — exactly what the per-edge butterfly
-//! counting kernel needs.
-//!
-//! Large sets additionally memoise a sorted copy of their elements
-//! ([`LargeSet::sorted`], invalidated on every mutation) so that the
-//! intersection kernels can switch to a cache-friendly sorted-merge when both
-//! operands are hubs — the hot case of the per-edge counting phase, where the
-//! sample is frozen and the cache is built once and reused for every
-//! intersection of the batch.
+//! counting kernel needs: it iterates the smaller of two sets and probes the
+//! larger one (see [`crate::intersect`]).  No sorted copy of a hub is kept:
+//! ABACUS mutates its sample after almost every element, and each mutation
+//! would drop and re-sort the copy.
 
 use crate::fxhash::FxHashSet;
 use std::collections::hash_set;
-use std::sync::OnceLock;
 
 /// Maximum number of neighbors kept in the vector representation.
 ///
-/// Chosen by the `adjacency_spill` micro-bench sweep (see
-/// [`crate::intersect::DEFAULT_ADJ_SPILL_THRESHOLD`] for the numbers): larger
-/// spill points win on small sample budgets but regress the paired
-/// counting-phase overhead at the reference-benchmark scale, so 32 is the
-/// default and [`crate::intersect::KernelTuning`] exposes the knob.
-pub const SMALL_THRESHOLD: usize = 32;
+/// Larger spill points won on small sample budgets in an end-to-end sweep
+/// (spill 8–64), but at the reference benchmark's 7.5k-edge budget the denser
+/// neighborhoods turned the inline vector's linear probes into the dominant
+/// cost, and 64 regressed the paired PARABACUS/ABACUS counting overhead on
+/// both reference streams (movielens 3.11 → 3.34, trackers 2.90 → 3.38).
+const SMALL_THRESHOLD: usize = 32;
 
 /// Capacity reserved by the first insertion into an empty `Small` vector.
 ///
@@ -41,72 +36,7 @@ pub const SMALL_THRESHOLD: usize = 32;
 /// in the insert-heavy phase of a stream, where every new vertex takes this
 /// path.  32 bytes per active vertex buys the whole `Small` range at most
 /// two grow steps (8 → 16 → 32).
-pub const SMALL_PRESIZE: usize = 8;
-
-/// The hash-backed representation of a large neighbor set, plus a lazily
-/// built sorted copy of the elements.
-///
-/// The sorted copy feeds the sorted-merge intersection kernel
-/// ([`crate::intersect::intersection_count`] and friends).  It is built on
-/// first use — typically during a counting phase, when the owning graph is
-/// immutable — and dropped by any subsequent mutation, so it can never go
-/// stale.  Building is thread-safe ([`OnceLock`]), which matters because
-/// PARABACUS worker threads intersect shared, frozen samples concurrently.
-#[derive(Debug, Clone, Default)]
-pub struct LargeSet {
-    set: FxHashSet<u32>,
-    sorted: OnceLock<Vec<u32>>,
-}
-
-impl LargeSet {
-    fn with_capacity(capacity: usize) -> Self {
-        LargeSet {
-            set: crate::fxhash::fx_hashset_with_capacity(capacity),
-            sorted: OnceLock::new(),
-        }
-    }
-
-    /// The elements in ascending order, memoised until the next mutation.
-    #[must_use]
-    pub fn sorted(&self) -> &[u32] {
-        self.sorted.get_or_init(|| {
-            let mut v: Vec<u32> = self.set.iter().copied().collect();
-            v.sort_unstable();
-            v
-        })
-    }
-
-    /// Length of the memoised sorted copy, or `None` when it has not been
-    /// built since the last mutation.  Peeking never builds the copy — the
-    /// estimators use this for honest memory accounting without inflating
-    /// the very footprint they are measuring.
-    #[must_use]
-    pub fn sorted_cache_len(&self) -> Option<usize> {
-        self.sorted.get().map(Vec::len)
-    }
-
-    /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
-    /// O(1) expected membership probe.
-    #[must_use]
-    pub fn contains(&self, x: u32) -> bool {
-        self.set.contains(&x)
-    }
-
-    fn invalidate(&mut self) {
-        self.sorted.take();
-    }
-}
+const SMALL_PRESIZE: usize = 8;
 
 /// A set of neighbor identifiers (`u32`) with a size-adaptive representation.
 ///
@@ -131,12 +61,12 @@ pub enum AdjacencySet {
     Small(Vec<u32>),
     /// Hash-set representation for large sets.
     ///
-    /// Boxed so the enum stays pointer-sized-ish (32 bytes instead of 64):
-    /// the sample store and the dynamic graph keep one `AdjacencySet` per
-    /// active vertex in a dense slab, and most vertices are `Small`, so the
-    /// rare hub should not double every slot.  Hubs pay one extra pointer
-    /// chase on top of the hash probe they already do.
-    Large(Box<LargeSet>),
+    /// Boxed so the enum stays pointer-sized-ish: the sample store and the
+    /// dynamic graph keep one `AdjacencySet` per active vertex in a dense
+    /// slab, and most vertices are `Small`, so the rare hub should not widen
+    /// every slot.  Hubs pay one extra pointer chase on top of the hash probe
+    /// they already do.
+    Large(Box<FxHashSet<u32>>),
 }
 
 impl Default for AdjacencySet {
@@ -159,7 +89,7 @@ impl AdjacencySet {
         if capacity <= SMALL_THRESHOLD {
             AdjacencySet::Small(Vec::with_capacity(capacity))
         } else {
-            AdjacencySet::Large(Box::new(LargeSet::with_capacity(capacity)))
+            AdjacencySet::Large(Box::new(crate::fxhash::fx_hashset_with_capacity(capacity)))
         }
     }
 
@@ -186,51 +116,31 @@ impl AdjacencySet {
     pub fn contains(&self, x: u32) -> bool {
         match self {
             AdjacencySet::Small(v) => v.contains(&x),
-            AdjacencySet::Large(s) => s.contains(x),
+            AdjacencySet::Large(s) => s.contains(&x),
         }
     }
 
     /// Inserts `x`; returns `true` if it was not already present.
     pub fn insert(&mut self, x: u32) -> bool {
-        self.insert_tuned(x, SMALL_THRESHOLD, SMALL_PRESIZE)
-    }
-
-    /// Inserts `x` with explicit layout knobs: `spill_threshold` is the
-    /// inline-vector length at which the set spills to the hash-backed
-    /// representation, `first_reserve` the capacity reserved by the first
-    /// insertion into an empty inline vector.
-    ///
-    /// The knobs only move memory layout and wall time: membership, counts,
-    /// probe-model `comparisons`, and iteration *sets* (not order) are
-    /// identical for every setting, so tuning them can never change a
-    /// reported number.  A `spill_threshold` of zero is treated as one.
-    pub fn insert_tuned(&mut self, x: u32, spill_threshold: usize, first_reserve: usize) -> bool {
         match self {
             AdjacencySet::Small(v) => {
                 if v.contains(&x) {
                     return false;
                 }
-                let spill = spill_threshold.max(1);
-                if v.len() >= spill {
-                    let mut large = LargeSet::with_capacity(spill * 2);
-                    large.set.extend(v.iter().copied());
-                    large.set.insert(x);
+                if v.len() >= SMALL_THRESHOLD {
+                    let mut large = crate::fxhash::fx_hashset_with_capacity(SMALL_THRESHOLD * 2);
+                    large.extend(v.iter().copied());
+                    large.insert(x);
                     *self = AdjacencySet::Large(Box::new(large));
                 } else {
-                    if v.capacity() == 0 && first_reserve > 0 {
-                        v.reserve(first_reserve);
+                    if v.capacity() == 0 {
+                        v.reserve(SMALL_PRESIZE);
                     }
                     v.push(x);
                 }
                 true
             }
-            AdjacencySet::Large(s) => {
-                let inserted = s.set.insert(x);
-                if inserted {
-                    s.invalidate();
-                }
-                inserted
-            }
+            AdjacencySet::Large(s) => s.insert(x),
         }
     }
 
@@ -245,13 +155,7 @@ impl AdjacencySet {
                     false
                 }
             }
-            AdjacencySet::Large(s) => {
-                let removed = s.set.remove(&x);
-                if removed {
-                    s.invalidate();
-                }
-                removed
-            }
+            AdjacencySet::Large(s) => s.remove(&x),
         }
     }
 
@@ -259,10 +163,7 @@ impl AdjacencySet {
     pub fn clear(&mut self) {
         match self {
             AdjacencySet::Small(v) => v.clear(),
-            AdjacencySet::Large(s) => {
-                s.set.clear();
-                s.invalidate();
-            }
+            AdjacencySet::Large(s) => s.clear(),
         }
     }
 
@@ -270,39 +171,35 @@ impl AdjacencySet {
     pub fn iter(&self) -> AdjacencyIter<'_> {
         match self {
             AdjacencySet::Small(v) => AdjacencyIter::Small(v.iter()),
-            // lint:allow(hash-iter): this IS the documented unordered primitive; order-sensitive callers go through sorted()
-            AdjacencySet::Large(s) => AdjacencyIter::Large(s.set.iter()),
+            // lint:allow(hash-iter): this IS the documented unordered primitive; order-sensitive callers go through to_sorted_vec()
+            AdjacencySet::Large(s) => AdjacencyIter::Large(s.iter()),
         }
     }
 
     /// Forces the hash-backed [`Large`](AdjacencySet::Large) representation,
     /// regardless of the current size.
     ///
-    /// The representation is history-dependent (a set that ever crossed
-    /// [`SMALL_THRESHOLD`] stays `Large` even after shrinking), so rebuilding
-    /// a graph from its surviving edges alone would not reproduce it.  The
-    /// durable-state codecs record which sets are `Large` and call this after
-    /// reinsertion, restoring the exact representation — and with it the
-    /// kernel choices and memory accounting — of the checkpointed run.
-    /// Idempotent; a no-op on sets that are already `Large`.
+    /// The representation is history-dependent (a set that ever crossed the
+    /// small-vector threshold stays `Large` even after shrinking), so
+    /// rebuilding a graph from its surviving edges alone would not reproduce
+    /// it.  The durable-state codecs record which sets are `Large` and call
+    /// this after reinsertion, restoring the exact representation — and with
+    /// it the memory accounting of the checkpointed run.  Idempotent; a no-op
+    /// on sets that are already `Large`.
     pub fn promote(&mut self) {
         if let AdjacencySet::Small(v) = self {
-            let mut large = LargeSet::with_capacity(v.len().max(SMALL_THRESHOLD * 2));
-            large.set.extend(v.iter().copied());
+            let mut large =
+                crate::fxhash::fx_hashset_with_capacity(v.len().max(SMALL_THRESHOLD * 2));
+            large.extend(v.iter().copied());
             *self = AdjacencySet::Large(Box::new(large));
         }
     }
 
-    /// The large-set representation, if this set has been promoted.
-    ///
-    /// The intersection kernels use this to reach the memoised sorted copy
-    /// without exposing the representation choice anywhere else.
+    /// Whether this set has been promoted to the hash-backed representation.
+    #[inline]
     #[must_use]
-    pub fn as_large(&self) -> Option<&LargeSet> {
-        match self {
-            AdjacencySet::Small(_) => None,
-            AdjacencySet::Large(s) => Some(s),
-        }
+    pub fn is_large(&self) -> bool {
+        matches!(self, AdjacencySet::Large(_))
     }
 
     /// Returns the neighbors as a freshly sorted vector (test / debugging aid
@@ -322,14 +219,7 @@ impl AdjacencySet {
             // A hashbrown bucket stores the element plus one control byte and
             // the table is at most ~8/7 over-allocated; 8 bytes/entry of
             // capacity is a serviceable estimate for accounting purposes.
-            // The memoised sorted copy is accounted only once built.
-            AdjacencySet::Large(s) => {
-                size_of::<LargeSet>()
-                    + s.set.capacity() * 8
-                    + s.sorted
-                        .get()
-                        .map_or(0, |v| v.capacity() * size_of::<u32>())
-            }
+            AdjacencySet::Large(s) => size_of::<FxHashSet<u32>>() + s.capacity() * 8,
         }
     }
 }
@@ -396,15 +286,6 @@ mod tests {
             panic!("one element must stay Small");
         };
         assert!(v.capacity() >= SMALL_PRESIZE);
-    }
-
-    #[test]
-    fn sorted_cache_len_peeks_without_building() {
-        let s: AdjacencySet = (0..80u32).collect();
-        let large = s.as_large().expect("80 elements must be Large");
-        assert_eq!(large.sorted_cache_len(), None);
-        let _ = large.sorted();
-        assert_eq!(large.sorted_cache_len(), Some(80));
     }
 
     #[test]
@@ -492,30 +373,6 @@ mod tests {
         let seen: BTreeSet<u32> = s.iter().collect();
         assert_eq!(seen.len(), 100);
         assert_eq!(s.iter().len(), 100);
-    }
-
-    #[test]
-    fn sorted_cache_is_built_lazily_and_invalidated_on_mutation() {
-        let mut s: AdjacencySet = (0..80u32).rev().collect();
-        let large = s.as_large().expect("80 elements must be Large");
-        let expected: Vec<u32> = (0..80).collect();
-        assert_eq!(large.sorted(), &expected[..]);
-
-        s.insert(200);
-        let mut expected: Vec<u32> = (0..80).collect();
-        expected.push(200);
-        assert_eq!(s.as_large().unwrap().sorted(), &expected[..]);
-
-        s.remove(0);
-        assert_eq!(s.as_large().unwrap().sorted(), &expected[1..]);
-
-        // Failed mutations keep the cache.
-        let before = s.as_large().unwrap().sorted().as_ptr();
-        s.insert(200);
-        s.remove(0);
-        assert_eq!(s.as_large().unwrap().sorted().as_ptr(), before);
-
-        assert!(AdjacencySet::new().as_large().is_none());
     }
 
     #[test]

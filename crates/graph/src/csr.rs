@@ -37,9 +37,7 @@
 
 use crate::edge::Edge;
 use crate::fxhash::FxHashMap;
-use crate::intersect::{
-    sorted_contains, sorted_intersection_excluding, IntersectionResult, KernelTuning,
-};
+use crate::intersect::{sorted_contains, sorted_intersection_excluding, IntersectionResult};
 use crate::peredge::NeighborhoodView;
 use crate::vertex::{Side, VertexRef};
 
@@ -77,10 +75,6 @@ struct CsrSide {
 }
 
 impl CsrSide {
-    fn new() -> Self {
-        CsrSide::default()
-    }
-
     /// The current (possibly patched) sorted neighbor row of `v`; empty when
     /// the vertex is absent.
     #[inline]
@@ -225,46 +219,31 @@ impl CsrSide {
 ///
 /// ```
 /// use abacus_graph::csr::CsrSnapshot;
-/// use abacus_graph::intersect::KernelTuning;
 /// use abacus_graph::{count_butterflies_with_edge, Edge};
 ///
-/// let snapshot = CsrSnapshot::from_edges(
-///     [(0, 11), (1, 10), (1, 11)].map(|(l, r)| Edge::new(l, r)),
-///     KernelTuning::default(),
-/// );
+/// let snapshot =
+///     CsrSnapshot::from_edges([(0, 11), (1, 10), (1, 11)].map(|(l, r)| Edge::new(l, r)));
 /// let count = count_butterflies_with_edge(&snapshot, Edge::new(0, 10));
 /// assert_eq!(count.butterflies, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CsrSnapshot {
     left: CsrSide,
     right: CsrSide,
     edges: usize,
-    tuning: KernelTuning,
-}
-
-impl Default for CsrSnapshot {
-    fn default() -> Self {
-        Self::new(KernelTuning::default())
-    }
 }
 
 impl CsrSnapshot {
-    /// Creates an empty snapshot with the given kernel cutovers.
+    /// Creates an empty snapshot.
     #[must_use]
-    pub fn new(tuning: KernelTuning) -> Self {
-        CsrSnapshot {
-            left: CsrSide::new(),
-            right: CsrSide::new(),
-            edges: 0,
-            tuning,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Builds a compacted snapshot holding exactly `edges`.
     #[must_use]
-    pub fn from_edges(edges: impl IntoIterator<Item = Edge>, tuning: KernelTuning) -> Self {
-        let mut snapshot = CsrSnapshot::new(tuning);
+    pub fn from_edges(edges: impl IntoIterator<Item = Edge>) -> Self {
+        let mut snapshot = CsrSnapshot::new();
         for edge in edges {
             snapshot.apply(edge, true);
         }
@@ -276,12 +255,6 @@ impl CsrSnapshot {
     #[must_use]
     pub fn num_edges(&self) -> usize {
         self.edges
-    }
-
-    /// The kernel cutovers used by this snapshot's intersections.
-    #[must_use]
-    pub fn tuning(&self) -> KernelTuning {
-        self.tuning
     }
 
     /// Mirrors one sample mutation (`added == true` for an insertion), and
@@ -372,7 +345,7 @@ impl NeighborhoodView for CsrSnapshot {
         // One fused pass: the kernel picks the smaller operand exactly like
         // the hash kernels and reports probe-model comparisons, so the
         // numbers are bit-identical to the hash path.
-        sorted_intersection_excluding(self.row(a), self.row(b), exclude, self.tuning)
+        sorted_intersection_excluding(self.row(a), self.row(b), exclude)
     }
 }
 
@@ -390,7 +363,7 @@ mod tests {
 
     #[test]
     fn rows_are_sorted_and_mirror_insertions_and_removals() {
-        let mut snap = CsrSnapshot::new(KernelTuning::default());
+        let mut snap = CsrSnapshot::new();
         for &(l, r) in &[(1, 20), (1, 10), (1, 30), (2, 10)] {
             snap.apply(edge(l, r), true);
         }
@@ -405,7 +378,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_rows_and_clears_patches() {
-        let mut snap = CsrSnapshot::new(KernelTuning::default());
+        let mut snap = CsrSnapshot::new();
         for l in 0..10u32 {
             for r in 0..5u32 {
                 snap.apply(edge(l, 100 + r), true);
@@ -432,7 +405,7 @@ mod tests {
 
     #[test]
     fn churn_triggers_automatic_compaction() {
-        let mut snap = CsrSnapshot::new(KernelTuning::default());
+        let mut snap = CsrSnapshot::new();
         // Enough distinct left vertices that the patch threshold
         // (COMPACT_BASE + rows/4) is crossed while inserting.
         for l in 0..200u32 {
@@ -456,7 +429,6 @@ mod tests {
             (0..40u32)
                 .map(|l| edge(l, 1))
                 .chain((20..100u32).map(|l| edge(l, 2))),
-            KernelTuning::default(),
         );
         let r1 = VertexRef::right(1);
         let r2 = VertexRef::right(2);
@@ -474,7 +446,7 @@ mod tests {
     #[test]
     fn butterfly_kernel_runs_against_the_snapshot() {
         let edges = [(0, 11), (1, 10), (1, 11)].map(|(l, r)| edge(l, r));
-        let snap = CsrSnapshot::from_edges(edges, KernelTuning::default());
+        let snap = CsrSnapshot::from_edges(edges);
         let graph = BipartiteGraph::from_edges(edges);
         let via_snapshot = count_butterflies_with_edge(&snap, edge(0, 10));
         let via_graph = count_butterflies_with_edge(&graph, edge(0, 10));
@@ -484,12 +456,10 @@ mod tests {
 
     #[test]
     fn accounting_reports_resident_entries_and_bytes() {
-        let snap =
-            CsrSnapshot::from_edges((0..50u32).map(|l| edge(l, l % 5)), KernelTuning::default());
+        let snap = CsrSnapshot::from_edges((0..50u32).map(|l| edge(l, l % 5)));
         // Each edge appears once per side.
         assert_eq!(snap.resident_entries(), 100);
         assert!(snap.heap_bytes() >= 100 * size_of::<u32>());
-        assert_eq!(snap.tuning(), KernelTuning::default());
     }
 
     proptest! {
@@ -503,7 +473,7 @@ mod tests {
             ops in proptest::collection::vec((any::<bool>(), 0u32..8, 0u32..8), 1..300),
             compact_every in 1usize..50,
         ) {
-            let mut snap = CsrSnapshot::new(KernelTuning::default());
+            let mut snap = CsrSnapshot::new();
             let mut reference: BTreeSet<(u32, u32)> = BTreeSet::new();
             for (step, (insert, l, r)) in ops.into_iter().enumerate() {
                 if insert {

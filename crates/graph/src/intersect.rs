@@ -8,44 +8,35 @@
 //!
 //! Two kernel families are provided:
 //!
-//! * [`intersection_count`] / [`intersection_count_excluding`] — the
-//!   production kernels over [`AdjacencySet`]s.  They probe the larger set
-//!   with the elements of the smaller one, **except** when both operands are
-//!   hash-backed hubs of comparable size: then they switch to a two-pointer
-//!   sorted merge over the sets' memoised sorted copies
-//!   ([`LargeSet::sorted`](crate::adjacency::LargeSet::sorted)), which walks
-//!   memory sequentially instead of cache-missing once per probe,
-//! * [`sorted_merge_intersection_count`] — the bare two-pointer merge over
-//!   sorted slices, usable directly and kept as an ablation target for the
-//!   micro-benchmarks,
+//! * [`intersection_count`] / [`intersection_count_excluding`] — the probe
+//!   kernel, the only intersection over [`AdjacencySet`]s: iterate the
+//!   smaller set and probe the larger one.  Comparably sized hubs are not
+//!   merged over sorted copies: the `intersect` micro-benchmark favours the
+//!   merge only because its slices are already sorted, while sequential
+//!   ABACUS mutates its sample after almost every element, and each
+//!   mutation forces a re-sort that costs more than the merge saves,
 //! * the **sorted-slice kernels** powering the frozen CSR counting snapshot
 //!   ([`crate::csr::CsrSnapshot`]): [`sorted_merge_count`] for comparable
 //!   sizes, [`sorted_gallop_count`] for heavily skewed sizes, and
-//!   [`sorted_adaptive_count`] which dispatches between them by the
-//!   [`KernelTuning`] cutovers.  (An arithmetic-advance "branchless" merge
-//!   variant was benchmarked at 2.7× the classic merge's latency across all
-//!   size ratios and retired; see `BENCH_intersect.json`.)
+//!   [`sorted_adaptive_count`] / [`sorted_intersection_excluding`], which
+//!   dispatch between them at a fixed size ratio.
+//!   [`sorted_merge_intersection_count`] is the bare two-pointer merge, kept
+//!   as an ablation target for the micro-benchmarks.
 //!
-//! The production kernels report `comparisons` under the *probe model* of the
-//! paper — the number of membership probes the probe kernel performs, i.e.
-//! the size of the smaller set after exclusions — regardless of which code
-//! path actually ran.  This keeps the per-thread workload counters of the
-//! load-balance experiment (Fig. 10) — and PARABACUS/ABACUS work parity —
-//! independent of kernel selection.  Only [`sorted_merge_intersection_count`]
-//! reports its literal pointer advances, since measuring those is the point
-//! of the ablation.
+//! Every kernel except the ablation reports `comparisons` under the *probe
+//! model* of the paper — the number of membership probes the probe kernel
+//! performs, i.e. the size of the smaller set after exclusions — regardless
+//! of which code path actually ran.  This keeps the per-thread workload
+//! counters of the load-balance experiment (Fig. 10) — and PARABACUS/ABACUS
+//! work parity — independent of kernel selection.  Only
+//! [`sorted_merge_intersection_count`] reports its literal pointer advances,
+//! since measuring those is the point of the ablation.
 
 use crate::adjacency::AdjacencySet;
 
-/// Default for [`KernelTuning::merge_size_ratio`]: use the sorted-merge path
-/// only when the larger hub is at most this many times the smaller one — a
-/// merge always advances through both sets, so with heavily skewed sizes
-/// probing the big set `|small|` times is cheaper.
-pub const DEFAULT_MERGE_SIZE_RATIO: usize = 8;
-
-/// Default for [`KernelTuning::gallop_size_ratio`]: over sorted slices,
-/// switch from the two-pointer merge to galloping (exponential) search once
-/// the larger side exceeds this multiple of the smaller one.
+/// Over sorted slices, switch from the two-pointer merge to galloping
+/// (exponential) search once the larger side exceeds this multiple of the
+/// smaller one.
 ///
 /// The nominal cost model (merge advances `|small| + |large|` cursors, gallop
 /// pays ~`log₂(ratio) + 2` probes per small element) puts the break-even near
@@ -57,71 +48,7 @@ pub const DEFAULT_MERGE_SIZE_RATIO: usize = 8;
 /// galloping is reserved for the extreme-skew regime (a handful of elements
 /// against a multi-thousand-entry hub slice) where its O(|small|·log) bound
 /// actually wins.
-pub const DEFAULT_GALLOP_SIZE_RATIO: usize = 128;
-
-/// Default for [`KernelTuning::adj_spill_threshold`], mirroring
-/// [`crate::adjacency::SMALL_THRESHOLD`].
-///
-/// The `micro` bench's `adjacency_spill` sweep (spill 8–64 × reserve 4/8
-/// over an end-to-end 20k-element ABACUS run) is scale-sensitive: at a
-/// 1.5k-edge budget the mean sampled degree stays small enough that spill 64
-/// wins (~7.2 ms vs ~8.5 ms for 32), but at the fig9 gate scale (7.5k-edge
-/// budget) the denser neighborhoods turn the inline vector's linear probes
-/// into the dominant cost and 64 regresses the paired PARABACUS/ABACUS
-/// overhead ratio on both reference streams (movielens 3.11 → 3.34,
-/// trackers 2.90 → 3.38).  The default therefore stays at 32 — the knob is
-/// there for small-budget deployments that want the larger inline tier.
-pub const DEFAULT_ADJ_SPILL_THRESHOLD: usize = crate::adjacency::SMALL_THRESHOLD;
-
-/// Default for [`KernelTuning::adj_first_reserve`], mirroring
-/// [`crate::adjacency::SMALL_PRESIZE`]: reserving 8 slots on a vertex's
-/// first neighbor skips the 4 → 8 realloc ladder that every new vertex in an
-/// insert-heavy stream would otherwise walk.
-pub const DEFAULT_ADJ_FIRST_RESERVE: usize = crate::adjacency::SMALL_PRESIZE;
-
-/// Cutover ratios of the adaptive intersection kernels.
-///
-/// The defaults are justified by the `intersect` micro-benchmark
-/// (`cargo bench -p abacus-bench --bench intersect`), which sweeps probe,
-/// merge, and gallop kernels across operand-size ratios.  The values are
-/// wired through `AbacusConfig` so ablations can move the cutovers without
-/// recompiling.
-///
-/// Which kernel runs never changes reported numbers: counts are exact set
-/// intersections on every path and the production kernels report probe-model
-/// `comparisons` (see the module docs), so tuning only affects wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelTuning {
-    /// Hash-backed hub pairs switch from probing to the sorted merge when
-    /// `|large| <= |small| * merge_size_ratio`.
-    pub merge_size_ratio: usize,
-    /// Sorted CSR slices switch from the merge to galloping search when
-    /// `|large| > |small| * gallop_size_ratio`.
-    pub gallop_size_ratio: usize,
-    /// [`AdjacencySet`] keeps at most this many neighbors inline in its
-    /// unsorted vector before spilling to the hash-backed representation.
-    ///
-    /// A layout-only knob: it is deliberately **not** part of any persisted
-    /// config fingerprint (manifests and ABSNAP1 payloads), because it can
-    /// never change an estimate, `comparisons`, or RNG consumption — only
-    /// memory shape and wall time.
-    pub adj_spill_threshold: usize,
-    /// Capacity reserved by the first insertion into an empty inline
-    /// adjacency vector.  Layout-only, unpersisted, like
-    /// [`adj_spill_threshold`](KernelTuning::adj_spill_threshold).
-    pub adj_first_reserve: usize,
-}
-
-impl Default for KernelTuning {
-    fn default() -> Self {
-        KernelTuning {
-            merge_size_ratio: DEFAULT_MERGE_SIZE_RATIO,
-            gallop_size_ratio: DEFAULT_GALLOP_SIZE_RATIO,
-            adj_spill_threshold: DEFAULT_ADJ_SPILL_THRESHOLD,
-            adj_first_reserve: DEFAULT_ADJ_FIRST_RESERVE,
-        }
-    }
-}
+const GALLOP_SIZE_RATIO: usize = 128;
 
 /// Result of an intersection: how many common elements and how many probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,81 +68,11 @@ impl IntersectionResult {
     }
 }
 
-/// Whether the hub-vs-hub sorted-merge path applies to this operand pair.
-///
-/// Which path runs can never change the reported numbers: counts are exact
-/// set intersections either way, and `comparisons` follow the probe model in
-/// both paths, so ABACUS/PARABACUS work parity is independent of this
-/// decision.
-#[inline]
-fn merge_applies(small: &AdjacencySet, large: &AdjacencySet, tuning: KernelTuning) -> bool {
-    // Both operands must actually be hash-backed: a `Large` set that shrank
-    // can be outsized by a vector-backed `Small` one, which has no sorted
-    // cache to merge over.
-    small.as_large().is_some()
-        && large.as_large().is_some()
-        && large.len() <= small.len().saturating_mul(tuning.merge_size_ratio)
-}
-
-/// Two-pointer match count over the memoised sorted copies, skipping
-/// `exclude` (pass a value outside the id space to skip nothing).
-#[inline]
-fn merge_count(small: &AdjacencySet, large: &AdjacencySet, exclude: Option<u32>) -> u64 {
-    let (a, b) = (
-        small
-            .as_large()
-            // lint:allow(panic-policy): merge_applies() gated both operands as Large; this is the hot Large/Large dispatch path and cannot fail
-            .expect("merge path requires Large")
-            .sorted(),
-        large
-            .as_large()
-            // lint:allow(panic-policy): merge_applies() gated both operands as Large; this is the hot Large/Large dispatch path and cannot fail
-            .expect("merge path requires Large")
-            .sorted(),
-    );
-    let mut i = 0;
-    let mut j = 0;
-    let mut count = 0u64;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                if Some(a[i]) != exclude {
-                    count += 1;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
-/// Counts `|a ∩ b|` by probing the larger set with elements of the smaller,
-/// or by a sorted merge when both operands are comparably sized hubs.
+/// Counts `|a ∩ b|` by probing the larger set with elements of the smaller.
 #[inline]
 #[must_use]
 pub fn intersection_count(a: &AdjacencySet, b: &AdjacencySet) -> IntersectionResult {
-    intersection_count_with(a, b, KernelTuning::default())
-}
-
-/// [`intersection_count`] with explicit cutover tuning.
-#[inline]
-#[must_use]
-pub fn intersection_count_with(
-    a: &AdjacencySet,
-    b: &AdjacencySet,
-    tuning: KernelTuning,
-) -> IntersectionResult {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if merge_applies(small, large, tuning) {
-        return IntersectionResult {
-            count: merge_count(small, large, None),
-            // Probe model: what the probe kernel would have performed.
-            comparisons: small.len() as u64,
-        };
-    }
     let mut count = 0u64;
     let mut comparisons = 0u64;
     for x in small {
@@ -239,26 +96,19 @@ pub fn intersection_count_excluding(
     b: &AdjacencySet,
     exclude: u32,
 ) -> IntersectionResult {
-    intersection_count_excluding_with(a, b, exclude, KernelTuning::default())
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    probe_excluding(small, large, exclude)
 }
 
-/// [`intersection_count_excluding`] with explicit cutover tuning.
+/// The probe loop shared by [`intersection_count_excluding`] and
+/// [`slice_probe_excluding`]: every element of `small` other than `exclude`
+/// costs one probe of `large`.
 #[inline]
-#[must_use]
-pub fn intersection_count_excluding_with(
-    a: &AdjacencySet,
-    b: &AdjacencySet,
+fn probe_excluding(
+    small: impl IntoIterator<Item = u32>,
+    large: &AdjacencySet,
     exclude: u32,
-    tuning: KernelTuning,
 ) -> IntersectionResult {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if merge_applies(small, large, tuning) {
-        return IntersectionResult {
-            count: merge_count(small, large, Some(exclude)),
-            // Probe model: the probe kernel skips `exclude` without probing.
-            comparisons: small.len() as u64 - u64::from(small.contains(exclude)),
-        };
-    }
     let mut count = 0u64;
     let mut comparisons = 0u64;
     for x in small {
@@ -387,16 +237,16 @@ pub fn sorted_merge_count(a: &[u32], b: &[u32]) -> u64 {
 }
 
 /// Adaptive match count over strictly ascending slices: two-pointer merge
-/// for comparable sizes, galloping search beyond
-/// [`KernelTuning::gallop_size_ratio`].
+/// for comparable sizes, galloping search once the larger slice is more than
+/// 128 times the smaller one.
 #[inline]
 #[must_use]
-pub fn sorted_adaptive_count(a: &[u32], b: &[u32], tuning: KernelTuning) -> u64 {
+pub fn sorted_adaptive_count(a: &[u32], b: &[u32]) -> u64 {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if small.is_empty() {
         return 0;
     }
-    if large.len() > small.len().saturating_mul(tuning.gallop_size_ratio) {
+    if large.len() > small.len().saturating_mul(GALLOP_SIZE_RATIO) {
         sorted_gallop_count(small, large)
     } else {
         sorted_merge_count(small, large)
@@ -415,23 +265,17 @@ pub fn sorted_contains(slice: &[u32], x: u32) -> bool {
 /// folds the `exclude` bookkeeping into its scan; the merge branch pays one
 /// extra O(log |small|) membership search up front.
 ///
-/// This is the kernel the frozen CSR snapshot runs per wedge: two-pointer
-/// merge for comparable sizes, galloping search beyond
-/// [`KernelTuning::gallop_size_ratio`].
+/// This is the kernel the frozen CSR snapshot runs per wedge, with the
+/// cutover of [`sorted_adaptive_count`].
 #[inline]
 #[must_use]
-pub fn sorted_intersection_excluding(
-    a: &[u32],
-    b: &[u32],
-    exclude: u32,
-    tuning: KernelTuning,
-) -> IntersectionResult {
+pub fn sorted_intersection_excluding(a: &[u32], b: &[u32], exclude: u32) -> IntersectionResult {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if small.is_empty() {
         return IntersectionResult::default();
     }
     let (count, excluded_from_small) =
-        if large.len() > small.len().saturating_mul(tuning.gallop_size_ratio) {
+        if large.len() > small.len().saturating_mul(GALLOP_SIZE_RATIO) {
             gallop_excluding(small, large, exclude)
         } else {
             merge_excluding(small, large, exclude)
@@ -446,8 +290,8 @@ pub fn sorted_intersection_excluding(
 
 /// Two-pointer merge counting matches other than `exclude`; also reports
 /// whether `exclude` is a member of `small`.  (The three-way-branch shape
-/// compiles measurably faster than a "branchless" arithmetic-advance loop on
-/// current x86 — see the `intersect` micro-benchmark.)
+/// measured 2.7× faster on x86 than an arithmetic-advance "branchless" loop:
+/// its branches are well predicted on sorted inputs.)
 #[inline]
 fn merge_excluding(small: &[u32], large: &[u32], exclude: u32) -> (u64, bool) {
     let excluded = sorted_contains(small, exclude);
@@ -482,18 +326,7 @@ pub fn slice_probe_excluding(
     large: &AdjacencySet,
     exclude: u32,
 ) -> IntersectionResult {
-    let mut count = 0u64;
-    let mut comparisons = 0u64;
-    for &x in small {
-        if x == exclude {
-            continue;
-        }
-        comparisons += 1;
-        if large.contains(x) {
-            count += 1;
-        }
-    }
-    IntersectionResult { count, comparisons }
+    probe_excluding(small.iter().copied(), large, exclude)
 }
 
 /// Gallop counting matches other than `exclude`; also reports whether
@@ -555,6 +388,24 @@ mod tests {
         let b = set(&[2, 3, 4]);
         assert_eq!(intersection_count_excluding(&a, &b, 3).count, 2);
         assert_eq!(intersection_count_excluding(&a, &b, 99).count, 3);
+        // Probe model on hub-sized operands: the excluded member of the
+        // smaller set is never probed.
+        let a: AdjacencySet = (0..60u32).collect();
+        let b: AdjacencySet = (30..100u32).collect();
+        assert_eq!(
+            intersection_count_excluding(&a, &b, 30),
+            IntersectionResult {
+                count: 29,
+                comparisons: 59
+            }
+        );
+        assert_eq!(
+            intersection_count_excluding(&a, &b, 1_000),
+            IntersectionResult {
+                count: 30,
+                comparisons: 60
+            }
+        );
     }
 
     #[test]
@@ -606,38 +457,17 @@ mod tests {
     }
 
     #[test]
-    fn hub_pairs_take_the_merge_path_with_probe_model_comparisons() {
-        // Both sets are Large (>32 elements) and comparably sized, so the
-        // kernels merge the memoised sorted copies — but the reported
-        // comparisons must still follow the probe model.
-        let a: AdjacencySet = (0..60u32).collect();
-        let b: AdjacencySet = (30..100u32).collect();
-        assert!(a.as_large().is_some() && b.as_large().is_some());
-
-        let r = intersection_count(&a, &b);
-        assert_eq!(r.count, 30);
-        assert_eq!(r.comparisons, 60); // |a| = the smaller side
-
-        let r = intersection_count_excluding(&a, &b, 30);
-        assert_eq!(r.count, 29);
-        assert_eq!(r.comparisons, 59); // the excluded member is never probed
-        let r = intersection_count_excluding(&a, &b, 1_000);
-        assert_eq!(r.count, 30);
-        assert_eq!(r.comparisons, 60);
-    }
-
-    #[test]
     fn shrunken_large_sets_fall_back_to_probing() {
-        // Regression: a `Large` set that shrank below the small threshold can
-        // be the *smaller* operand of a `Small`-variant set; the merge path
-        // must not be taken (the vector side has no sorted cache).
+        // A `Large` set that shrank below the small threshold can be the
+        // *smaller* operand of a `Small`-variant set: the kernel iterates it
+        // and probes the vector.
         let mut shrunk: AdjacencySet = (0..40u32).collect();
         for x in 8..40 {
             shrunk.remove(x);
         }
-        assert!(shrunk.as_large().is_some() && shrunk.len() == 8);
+        assert!(shrunk.is_large() && shrunk.len() == 8);
         let small_variant: AdjacencySet = (0..20u32).collect();
-        assert!(small_variant.as_large().is_none());
+        assert!(!small_variant.is_large());
         let r = intersection_count(&shrunk, &small_variant);
         assert_eq!(r.count, 8);
         assert_eq!(r.comparisons, 8);
@@ -648,11 +478,10 @@ mod tests {
 
     #[test]
     fn skewed_hub_pairs_keep_the_probe_path() {
-        // Size ratio beyond MERGE_SIZE_RATIO: probing |small| times beats
-        // advancing through both sets.
+        // Probing costs |small| however large the other hub is.
         let small: AdjacencySet = (0..40u32).collect();
         let large: AdjacencySet = (0..1_000u32).collect();
-        assert!(!merge_applies(&small, &large, KernelTuning::default()));
+        assert!(small.is_large() && large.is_large());
         let r = intersection_count(&small, &large);
         assert_eq!(r.count, 40);
         assert_eq!(r.comparisons, 40);
@@ -685,14 +514,11 @@ mod tests {
         let b: Vec<u32> = (0..400).map(|x| x * 2).collect();
         let expected = sorted_merge_intersection_count(&a, &b).count;
         assert_eq!(sorted_gallop_count(&a, &b), expected);
-        assert_eq!(
-            sorted_adaptive_count(&a, &b, KernelTuning::default()),
-            expected
-        );
+        assert_eq!(sorted_adaptive_count(&a, &b), expected);
         // Empty operands are free on every kernel.
         assert_eq!(sorted_gallop_count(&[], &b), 0);
         assert_eq!(sorted_gallop_count(&a, &[]), 0);
-        assert_eq!(sorted_adaptive_count(&[], &[], KernelTuning::default()), 0);
+        assert_eq!(sorted_adaptive_count(&[], &[]), 0);
     }
 
     #[test]
@@ -712,15 +538,10 @@ mod tests {
         // must be identical either way.
         let small: Vec<u32> = vec![5, 1_000, 2_000, 4_095];
         let large: Vec<u32> = (0..4_096).collect();
-        let tuning = KernelTuning::default();
-        assert!(large.len() > small.len() * tuning.gallop_size_ratio);
-        assert_eq!(sorted_adaptive_count(&small, &large, tuning), 4);
-        // Forcing the merge path gives the same count.
-        let merge_only = KernelTuning {
-            gallop_size_ratio: usize::MAX,
-            ..tuning
-        };
-        assert_eq!(sorted_adaptive_count(&small, &large, merge_only), 4);
+        assert!(large.len() > small.len() * GALLOP_SIZE_RATIO);
+        assert_eq!(sorted_adaptive_count(&small, &large), 4);
+        // The merge path gives the same count.
+        assert_eq!(sorted_merge_count(&small, &large), 4);
     }
 
     #[test]
@@ -732,30 +553,11 @@ mod tests {
         assert!(!sorted_contains(&[], 1));
     }
 
-    #[test]
-    fn merge_cutover_is_tunable() {
-        // With the ratio forced to 0 a comparably sized hub pair falls back to
-        // probing; the result (count and probe-model comparisons) is the same.
-        let a: AdjacencySet = (0..60u32).collect();
-        let b: AdjacencySet = (30..100u32).collect();
-        let probe_only = KernelTuning {
-            merge_size_ratio: 0,
-            ..KernelTuning::default()
-        };
-        assert!(!merge_applies(&a, &b, probe_only));
-        let default = intersection_count(&a, &b);
-        let tuned = intersection_count_with(&a, &b, probe_only);
-        assert_eq!(default, tuned);
-        let default = intersection_count_excluding(&a, &b, 30);
-        let tuned = intersection_count_excluding_with(&a, &b, 30, probe_only);
-        assert_eq!(default, tuned);
-    }
-
     proptest! {
         /// The sorted-slice kernels (classic merge, gallop, adaptive) all
         /// agree with the BTreeSet reference on random inputs, and the fused
-        /// excluding kernel matches the hash kernels' count and probe-model
-        /// comparisons exactly.
+        /// excluding kernel — through either branch — matches the probe
+        /// kernel's count and probe-model comparisons exactly.
         #[test]
         fn sorted_kernels_agree_on_random_slices(
             xs in proptest::collection::btree_set(0u32..600, 0..250),
@@ -768,22 +570,23 @@ mod tests {
             prop_assert_eq!(sorted_merge_count(&a, &b), expected);
             prop_assert_eq!(sorted_gallop_count(&a, &b), expected);
             prop_assert_eq!(sorted_gallop_count(&b, &a), expected);
-            prop_assert_eq!(sorted_adaptive_count(&a, &b, KernelTuning::default()), expected);
+            prop_assert_eq!(sorted_adaptive_count(&a, &b), expected);
 
             let sa: AdjacencySet = xs.iter().copied().collect();
             let sb: AdjacencySet = ys.iter().copied().collect();
             let want = intersection_count_excluding(&sa, &sb, exclude);
-            for tuning in [
-                KernelTuning::default(),
-                KernelTuning { merge_size_ratio: 8, gallop_size_ratio: 0 , ..KernelTuning::default()}, // force gallop
-                KernelTuning { merge_size_ratio: 8, gallop_size_ratio: usize::MAX , ..KernelTuning::default()}, // force merge
+            prop_assert_eq!(sorted_intersection_excluding(&a, &b, exclude), want);
+            prop_assert_eq!(sorted_intersection_excluding(&b, &a, exclude), want);
+            let (small, large) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+            for (count, excluded) in [
+                gallop_excluding(small, large, exclude),
+                merge_excluding(small, large, exclude),
             ] {
                 prop_assert_eq!(
-                    sorted_intersection_excluding(&a, &b, exclude, tuning),
-                    want
-                );
-                prop_assert_eq!(
-                    sorted_intersection_excluding(&b, &a, exclude, tuning),
+                    IntersectionResult {
+                        count,
+                        comparisons: small.len() as u64 - u64::from(excluded),
+                    },
                     want
                 );
             }

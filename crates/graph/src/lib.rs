@@ -15,8 +15,9 @@
 //!   oracle, ABACUS, and the FLEET baseline (Algorithm 1, lines 7–11 of the
 //!   paper),
 //! * [`intersect`] — set-intersection primitives with comparison accounting
-//!   (used for the load-balance experiment, Fig. 10), including the adaptive
-//!   sorted-slice kernels (two-pointer merge / galloping search),
+//!   (used for the load-balance experiment, Fig. 10): the probe kernel over
+//!   adjacency sets and the adaptive sorted-slice kernels of the CSR
+//!   snapshot (two-pointer merge / galloping search),
 //! * [`csr`] — the frozen CSR counting snapshot the estimators intersect
 //!   against in their per-edge hot loop,
 //! * [`fxhash`] — a fast, DoS-insensitive hasher for integer keys (the
@@ -54,7 +55,6 @@ pub use csr::CsrSnapshot;
 pub use edge::{Edge, EdgeKey};
 pub use exact::{count_butterflies, count_butterflies_per_left_vertex, ExactCounts};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use intersect::KernelTuning;
 pub use peredge::{
     cheapest_side, count_butterflies_with_edge, for_each_butterfly_with_edge, EdgeSupports,
     NeighborhoodView, PerEdgeCount,

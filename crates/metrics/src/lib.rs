@@ -6,7 +6,6 @@
 //! * [`error`] — relative / absolute error between an estimate and the ground
 //!   truth (the accuracy metric of §VI),
 //! * [`throughput`] — edges-per-second throughput measurements,
-//! * [`timer`] — simple wall-clock timers and elapsed-time series,
 //! * [`summary`] — mean / standard deviation / min / max over repeated trials,
 //! * [`stats`] — the per-run work counters every estimator accumulates
 //!   (elements, discoveries, set-intersection probes),
@@ -27,7 +26,6 @@ pub mod stats;
 pub mod summary;
 pub mod table;
 pub mod throughput;
-pub mod timer;
 
 pub use anomaly::{AnomalySeries, WindowSnapshot};
 pub use error::{absolute_error, relative_error, relative_error_percent};
@@ -36,4 +34,3 @@ pub use stats::ProcessingStats;
 pub use summary::Summary;
 pub use table::Table;
 pub use throughput::Throughput;
-pub use timer::Timer;

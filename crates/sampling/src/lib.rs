@@ -18,14 +18,12 @@
 //!   insert-only streams and the reason insert-only baselines break under
 //!   deletions,
 //! * [`adaptive`] — the FLEET-style adaptive Bernoulli policy with reservoir
-//!   resizing (γ),
-//! * [`bernoulli`] — fixed-probability sampling (used by the CAS baseline).
+//!   resizing (γ).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod bernoulli;
 pub mod random_pairing;
 pub mod reservoir;
 pub mod sample_graph;
@@ -33,7 +31,6 @@ pub mod seed;
 pub mod store;
 
 pub use adaptive::AdaptiveBernoulli;
-pub use bernoulli::BernoulliSampler;
 pub use random_pairing::{RandomPairing, RandomPairingState};
 pub use reservoir::ReservoirSampler;
 pub use sample_graph::SampleGraph;

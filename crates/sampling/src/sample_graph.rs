@@ -8,7 +8,7 @@
 //!
 //! # Memory layout (interned struct-of-arrays)
 //!
-//! Adjacency state lives in two per-side [`SideTable`]s.  Each table interns
+//! Adjacency state lives in two per-side `SideTable`s.  Each table interns
 //! the raw stream vertex ids into dense `u32` indexes and keeps the actual
 //! neighbor sets in a contiguous slab:
 //!
@@ -37,7 +37,6 @@
 
 use crate::store::SampleStore;
 use abacus_graph::adjacency::AdjacencySet;
-use abacus_graph::intersect::KernelTuning;
 use abacus_graph::persist::{Decoder, Encoder, PersistError};
 use abacus_graph::{Edge, EdgeKey, FxHashMap, NeighborhoodView, Side, VertexRef};
 use rand::{Rng, RngExt};
@@ -47,8 +46,10 @@ use rand::{Rng, RngExt};
 /// which is bounded by memory, so `usize::MAX` is unambiguous.
 const SOA_SAMPLE_MARKER: usize = usize::MAX;
 
-/// Version byte following [`SOA_SAMPLE_MARKER`].
-const SOA_SAMPLE_VERSION: u8 = 1;
+/// Version byte following [`SOA_SAMPLE_MARKER`].  Version 1 followed every
+/// hash-promoted vertex id with a byte saying whether the set's memoised
+/// sorted copy was built; version 2 dropped the sorted copies and the byte.
+const SOA_SAMPLE_VERSION: u8 = 2;
 
 /// Canonical value written for the reverse-array entry of a freed dense
 /// slot.  The live value is stale history and irrelevant to behavior, so the
@@ -97,13 +98,9 @@ impl SideTable {
         d
     }
 
-    fn insert(&mut self, owner: u32, neighbor: u32, kernel: KernelTuning) {
+    fn insert(&mut self, owner: u32, neighbor: u32) {
         let d = self.dense_for(owner);
-        self.adj[d as usize].insert_tuned(
-            neighbor,
-            kernel.adj_spill_threshold,
-            kernel.adj_first_reserve,
-        );
+        self.adj[d as usize].insert(neighbor);
     }
 
     fn remove(&mut self, owner: u32, neighbor: u32) {
@@ -159,7 +156,6 @@ pub struct SampleGraph {
     right: SideTable,
     edges: Vec<Edge>,
     slots: FxHashMap<EdgeKey, u32>,
-    kernel: KernelTuning,
 }
 
 impl SampleGraph {
@@ -177,23 +173,7 @@ impl SampleGraph {
             right: SideTable::default(),
             edges: Vec::with_capacity(k),
             slots: abacus_graph::fxhash::fx_hashmap_with_capacity(k * 2),
-            kernel: KernelTuning::default(),
         }
-    }
-
-    /// Sets the cutover ratios used by this sample's intersection kernels
-    /// (see [`KernelTuning`]); the estimators wire their configuration's
-    /// values through here.  Also carries the adjacency layout knobs
-    /// (`adj_spill_threshold`, `adj_first_reserve`) consumed on insert.
-    pub fn set_kernel_tuning(&mut self, kernel: KernelTuning) {
-        self.kernel = kernel;
-    }
-
-    /// The cutovers and layout knobs set by
-    /// [`set_kernel_tuning`](Self::set_kernel_tuning).
-    #[must_use]
-    pub fn kernel_tuning(&self) -> KernelTuning {
-        self.kernel
     }
 
     /// Number of sampled edges.
@@ -256,8 +236,8 @@ impl SampleGraph {
         debug_assert!(self.edges.len() < u32::MAX as usize);
         self.slots.insert(edge.key(), self.edges.len() as u32);
         self.edges.push(edge);
-        self.left.insert(edge.left, edge.right, self.kernel);
-        self.right.insert(edge.right, edge.left, self.kernel);
+        self.left.insert(edge.left, edge.right);
+        self.right.insert(edge.right, edge.left);
     }
 
     /// Removes an edge; returns whether it was present.
@@ -279,23 +259,6 @@ impl SampleGraph {
         true
     }
 
-    /// Total entries held by the memoised sorted copies of hub adjacency
-    /// sets ([`abacus_graph::adjacency::LargeSet::sorted`]) — auxiliary
-    /// storage the estimators charge (in edge equivalents) to their
-    /// `memory_edges` accounting.
-    #[must_use]
-    pub fn sorted_cache_entries(&self) -> usize {
-        self.left
-            .adj
-            .iter()
-            .chain(self.right.adj.iter())
-            .filter_map(|set| {
-                set.as_large()
-                    .and_then(abacus_graph::adjacency::LargeSet::sorted_cache_len)
-            })
-            .sum()
-    }
-
     fn side(&self, side: Side) -> &SideTable {
         match side {
             Side::Left => &self.left,
@@ -313,7 +276,7 @@ impl SampleGraph {
     /// Serializes the sample into `enc` so that [`SampleGraph::restore_state`]
     /// can rebuild it bit-identically.
     ///
-    /// Four things make the sample history-dependent, so a plain edge set is
+    /// Three things make the sample history-dependent, so a plain edge set is
     /// not enough:
     ///
     /// 1. **Slot order.** [`SampleGraph::random_edge`] indexes the dense edge
@@ -322,21 +285,19 @@ impl SampleGraph {
     ///    Edges are written in slot order and re-inserted in that order.
     /// 2. **Interner state.** Dense id assignment and the LIFO free list are
     ///    history-dependent (slots are recycled in reverse order of their
-    ///    release), so each [`SideTable`]'s reverse array and free list are
+    ///    release), so each side table's reverse array and free list are
     ///    written verbatim — a resumed run allocates the same dense slots the
     ///    original would have.
     /// 3. **Adjacency representation.** [`AdjacencySet`] promotes from the
     ///    small vector to the hash representation when it grows past the
-    ///    threshold and never demotes, which steers kernel selection.  A set
-    ///    that grew large and then shrank would be rebuilt small, so the
-    ///    promoted vertices are recorded and re-promoted explicitly.
-    /// 4. **Sorted caches.** Memoised sorted copies of hub sets count toward
-    ///    `memory_edges` accounting, so which caches exist is recorded and
-    ///    they are rebuilt eagerly on restore.
+    ///    threshold and never demotes, which steers memory accounting and
+    ///    the snapshot view's kernel choice.  A set that grew large and then
+    ///    shrank would be rebuilt small, so the promoted vertices are
+    ///    recorded and re-promoted explicitly.
     ///
-    /// The payload opens with [`SOA_SAMPLE_MARKER`]; payloads from before the
-    /// interned layout open with their edge count instead and decode through
-    /// the legacy path of [`SampleGraph::restore_state`].
+    /// The payload opens with a marker word and a format version; payloads
+    /// from before the interned layout open with their edge count instead
+    /// and decode through the legacy path of [`SampleGraph::restore_state`].
     pub fn encode_state(&self, enc: &mut Encoder) {
         enc.put_usize(SOA_SAMPLE_MARKER);
         enc.put_u8(SOA_SAMPLE_VERSION);
@@ -361,30 +322,26 @@ impl SampleGraph {
             }
         }
         for table in [&self.left, &self.right] {
-            let mut large: Vec<(u32, bool)> = table
+            let mut large: Vec<u32> = table
                 .ids
                 .iter()
-                .filter_map(|(&id, &d)| {
-                    table.adj[d as usize]
-                        .as_large()
-                        .map(|l| (id, l.sorted_cache_len().is_some()))
-                })
+                .filter(|&(_, &d)| table.adj[d as usize].is_large())
+                .map(|(&id, _)| id)
                 .collect();
             large.sort_unstable();
             enc.put_usize(large.len());
-            for (id, cached) in large {
+            for id in large {
                 enc.put_u32(id);
-                enc.put_u8(u8::from(cached));
             }
         }
     }
 
     /// Rebuilds the sample from a payload produced by
-    /// [`SampleGraph::encode_state`] — either the current interned format or
-    /// the legacy pre-interning format (recognised by its leading edge
-    /// count).  Clears any current contents; budget sizing and kernel tuning
-    /// are the caller's responsibility (they come from estimator
-    /// configuration, not from the snapshot).
+    /// [`SampleGraph::encode_state`] — the current interned format, its
+    /// version 1, or the legacy pre-interning format (recognised by its
+    /// leading edge count).  Clears any current contents; budget sizing is
+    /// the caller's responsibility (it comes from estimator configuration,
+    /// not from the snapshot).
     ///
     /// # Errors
     /// Fails closed with [`PersistError`] on truncated payloads, duplicate
@@ -397,7 +354,7 @@ impl SampleGraph {
             return self.restore_legacy(first, dec);
         }
         let version = dec.get_u8()?;
-        if version != SOA_SAMPLE_VERSION {
+        if version != 1 && version != SOA_SAMPLE_VERSION {
             return Err(PersistError::Corrupt(format!(
                 "unknown sample-store format version {version}"
             )));
@@ -452,7 +409,6 @@ impl SampleGraph {
                 )));
             }
             // Insert through the interner slots the payload established.
-            let kernel = self.kernel;
             debug_assert!(self.edges.len() < u32::MAX as usize);
             self.slots.insert(edge.key(), self.edges.len() as u32);
             self.edges.push(edge);
@@ -466,11 +422,7 @@ impl SampleGraph {
                         "edge endpoint {owner} missing from {side:?} interner of sample snapshot"
                     )));
                 };
-                table.adj[d as usize].insert_tuned(
-                    neighbor,
-                    kernel.adj_spill_threshold,
-                    kernel.adj_first_reserve,
-                );
+                table.adj[d as usize].insert(neighbor);
             }
         }
         // Every interned (non-free) slot must have been touched by an edge.
@@ -486,7 +438,7 @@ impl SampleGraph {
                 )));
             }
         }
-        self.restore_representation_flags(dec)
+        self.restore_representation_flags(dec, version == 1)
     }
 
     /// Decodes the legacy (pre-interning) payload: edge list in slot order
@@ -505,32 +457,32 @@ impl SampleGraph {
             }
             self.insert_edge(edge);
         }
-        self.restore_representation_flags(dec)
+        self.restore_representation_flags(dec, true)
     }
 
-    /// Shared tail of both restore paths: per-side sorted (vertex, cached)
-    /// flag lists naming the hash-promoted sets.
-    fn restore_representation_flags(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError> {
+    /// Shared tail of every restore path: per-side sorted lists naming the
+    /// hash-promoted sets.  Payloads before version 2 follow each id with a
+    /// byte saying whether the set's sorted copy was built; sorted copies no
+    /// longer exist, so `sorted_copy_byte` reads that byte and drops it.
+    fn restore_representation_flags(
+        &mut self,
+        dec: &mut Decoder<'_>,
+        sorted_copy_byte: bool,
+    ) -> Result<(), PersistError> {
         for side in [Side::Left, Side::Right] {
             let flagged = dec.get_usize()?;
             for _ in 0..flagged {
                 let id = dec.get_u32()?;
-                let cached = dec.get_u8()? != 0;
+                if sorted_copy_byte {
+                    dec.get_u8()?;
+                }
                 let table = self.side_mut(side);
                 let Some(&d) = table.ids.get(&id) else {
                     return Err(PersistError::Corrupt(format!(
                         "representation flag for absent {side:?} vertex {id}"
                     )));
                 };
-                let set = &mut table.adj[d as usize];
-                set.promote();
-                if cached {
-                    // `promote` guarantees the large representation.
-                    let large = set
-                        .as_large()
-                        .ok_or(PersistError::Invariant("promoted set is large"))?;
-                    let _ = large.sorted();
-                }
+                table.adj[d as usize].promote();
             }
         }
         Ok(())
@@ -539,8 +491,7 @@ impl SampleGraph {
     /// Approximate heap footprint in bytes (used for memory accounting in
     /// the space-complexity sanity tests and the `bytes_per_sampled_edge`
     /// perf_smoke metric).  Counts the interner tables and the adjacency
-    /// slab headers, not just inner set storage — see
-    /// [`SideTable::heap_bytes`].
+    /// slab headers, not just inner set storage.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.left.heap_bytes()
@@ -632,12 +583,9 @@ impl NeighborhoodView for SampleGraph {
         // Resolve both adjacency sets once and intersect them directly instead
         // of paying one map lookup per probe.
         match (self.neighbors(a), self.neighbors(b)) {
-            (Some(na), Some(nb)) => abacus_graph::intersect::intersection_count_excluding_with(
-                na,
-                nb,
-                exclude,
-                self.kernel,
-            ),
+            (Some(na), Some(nb)) => {
+                abacus_graph::intersect::intersection_count_excluding(na, nb, exclude)
+            }
             _ => abacus_graph::intersect::IntersectionResult::default(),
         }
     }
@@ -703,11 +651,7 @@ mod tests {
         for r in 0..40u32 {
             s.store_insert(edge(7, 1_000 + r));
         }
-        assert!(s
-            .neighbors(VertexRef::left(7))
-            .unwrap()
-            .as_large()
-            .is_some());
+        assert!(s.neighbors(VertexRef::left(7)).unwrap().is_large());
         for r in 0..40u32 {
             assert!(s.store_remove(&edge(7, 1_000 + r)));
         }
@@ -716,7 +660,7 @@ mod tests {
         // hash layout (which dropped the map entry) would have.
         s.store_insert(edge(8, 5));
         let set = s.neighbors(VertexRef::left(8)).unwrap();
-        assert!(set.as_large().is_none());
+        assert!(!set.is_large());
         assert_eq!(set.len(), 1);
     }
 
@@ -773,11 +717,10 @@ mod tests {
         assert!(s.store_remove(&edge(3, 500)));
         assert!(s.store_remove(&edge(4, 501)));
         assert!(!s.right.free.is_empty() || !s.left.free.is_empty());
-        // Build a sorted cache on the (still Large) hub set.
-        let hub = s.neighbors(VertexRef::left(7)).unwrap();
-        let large = hub.as_large().expect("hub stays large after shrinking");
-        let _ = large.sorted();
-        assert!(s.sorted_cache_entries() > 0);
+        assert!(
+            s.neighbors(VertexRef::left(7)).unwrap().is_large(),
+            "hub stays large after shrinking"
+        );
 
         let mut enc = Encoder::new();
         s.encode_state(&mut enc);
@@ -799,12 +742,7 @@ mod tests {
             "dense assignment must survive"
         );
         assert_eq!(restored.right.ids, s.right.ids);
-        assert!(restored
-            .neighbors(VertexRef::left(7))
-            .unwrap()
-            .as_large()
-            .is_some());
-        assert_eq!(restored.sorted_cache_entries(), s.sorted_cache_entries());
+        assert!(restored.neighbors(VertexRef::left(7)).unwrap().is_large());
         // Re-encoding the restored sample must be byte-identical.
         let mut enc2 = Encoder::new();
         restored.encode_state(&mut enc2);
@@ -824,8 +762,6 @@ mod tests {
         for i in 0..10u32 {
             s.store_insert(edge(i, 500 + (i % 3)));
         }
-        let hub = s.neighbors(VertexRef::left(7)).unwrap();
-        let _ = hub.as_large().unwrap().sorted();
 
         let mut enc = Encoder::new();
         enc.put_usize(s.len());
@@ -833,7 +769,8 @@ mod tests {
             enc.put_u32(e.left);
             enc.put_u32(e.right);
         }
-        // Left side: vertex 7 is Large with a built cache; right side: none.
+        // Left side: vertex 7 is Large, followed by the byte that said its
+        // sorted copy was built (read and dropped); right side: none.
         enc.put_usize(1);
         enc.put_u32(7);
         enc.put_u8(1);
@@ -846,12 +783,7 @@ mod tests {
         dec.expect_end().unwrap();
 
         assert_eq!(restored.edges(), s.edges());
-        assert!(restored
-            .neighbors(VertexRef::left(7))
-            .unwrap()
-            .as_large()
-            .is_some());
-        assert_eq!(restored.sorted_cache_entries(), s.sorted_cache_entries());
+        assert!(restored.neighbors(VertexRef::left(7)).unwrap().is_large());
         // The legacy-restored sample re-encodes identically to the live one:
         // same edges in slot order, and first-touch dense assignment.
         let (mut enc_live, mut enc_restored) = (Encoder::new(), Encoder::new());
@@ -946,19 +878,10 @@ mod tests {
 
     impl HashLayoutOracle {
         fn insert(&mut self, e: Edge) {
-            let k = KernelTuning::default();
             self.slots.insert(e.key(), self.edges.len() as u32);
             self.edges.push(e);
-            self.left.entry(e.left).or_default().insert_tuned(
-                e.right,
-                k.adj_spill_threshold,
-                k.adj_first_reserve,
-            );
-            self.right.entry(e.right).or_default().insert_tuned(
-                e.left,
-                k.adj_spill_threshold,
-                k.adj_first_reserve,
-            );
+            self.left.entry(e.left).or_default().insert(e.right);
+            self.right.entry(e.right).or_default().insert(e.left);
         }
 
         fn remove(&mut self, e: Edge) -> bool {
@@ -1033,13 +956,13 @@ mod tests {
             // dense slot order behind every draw).
             prop_assert_eq!(soa_rng.random::<u64>(), oracle_rng.random::<u64>());
             // Per-vertex parity: membership, degree, contents, and the
-            // representation the kernels dispatch on.
+            // representation the snapshot view dispatches on.
             for (side, map) in [(Side::Left, &oracle.left), (Side::Right, &oracle.right)] {
                 for (&raw, expected) in map {
                     let v = VertexRef { side, id: raw };
                     let got = soa.neighbors(v).expect("oracle vertex must exist");
                     prop_assert_eq!(got.to_sorted_vec(), expected.to_sorted_vec());
-                    prop_assert_eq!(got.as_large().is_some(), expected.as_large().is_some());
+                    prop_assert_eq!(got.is_large(), expected.is_large());
                 }
             }
             // Kernel parity on every surviving edge: the intersection sees

@@ -125,9 +125,9 @@ pub trait ButterflyCounter {
     /// Resident memory of the estimator in edge equivalents (one edge = two
     /// `u32` endpoints): the sample size for approximate estimators, the full
     /// graph for the exact oracle, **plus** any counting-side duplicates of
-    /// that state — ABACUS/PARABACUS charge their memoised sorted hub copies
-    /// and frozen CSR snapshot arenas here, so the Table 2 memory numbers
-    /// reflect what is actually allocated.
+    /// that state — ABACUS/PARABACUS charge their frozen CSR snapshot
+    /// arenas here, so the Table 2 memory numbers reflect what is actually
+    /// allocated.
     fn memory_edges(&self) -> usize;
 
     /// A short human-readable name used in experiment tables.

@@ -12,7 +12,7 @@
 //!   synthetic dataset analogs, and the pull-based `ElementSource` ingestion
 //!   pipeline (text + `ABST1` binary formats) for bounded-memory streaming
 //!   from disk,
-//! * [`sampling`] — Random Pairing, reservoir, adaptive and Bernoulli
+//! * [`sampling`] — Random Pairing, reservoir and adaptive Bernoulli
 //!   sampling policies,
 //! * [`core`] — the ABACUS and PARABACUS estimators plus the exact oracle,
 //! * [`baselines`] — the insert-only FLEET and CAS baselines,

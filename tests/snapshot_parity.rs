@@ -58,9 +58,7 @@ proptest! {
     /// PARABACUS with the snapshot forced on matches (1) itself with the
     /// snapshot off and (2) sequential hash-path ABACUS, across randomized
     /// streams, pipeline depths 1–4, batch sizes, and thread counts —
-    /// sampler state and comparisons exactly, estimates bit-identically at
-    /// one thread and to 1e-9 otherwise (chunk results are reduced in
-    /// completion order).
+    /// sampler state, comparisons and estimate bits exactly.
     #[test]
     fn parabacus_snapshot_ablation_matches_hash_path(
         seed in 0u64..500,
@@ -80,12 +78,7 @@ proptest! {
         let mut off = ParAbacus::new(base.with_snapshot(SnapshotMode::Off));
         on.process_stream(&stream);
         off.process_stream(&stream);
-        if threads == 1 {
-            prop_assert_eq!(on.estimate().to_bits(), off.estimate().to_bits());
-        } else {
-            let scale = off.estimate().abs().max(1.0);
-            prop_assert!((on.estimate() - off.estimate()).abs() <= 1e-9 * scale);
-        }
+        prop_assert_eq!(on.estimate().to_bits(), off.estimate().to_bits());
         prop_assert_eq!(on.sampler_state(), off.sampler_state());
         prop_assert_eq!(on.stats().comparisons, off.stats().comparisons);
         prop_assert_eq!(on.sample().len(), off.sample().len());
@@ -96,8 +89,7 @@ proptest! {
                 .with_snapshot(SnapshotMode::Off),
         );
         seq.process_stream(&stream);
-        let scale = seq.estimate().abs().max(1.0);
-        prop_assert!((on.estimate() - seq.estimate()).abs() <= 1e-9 * scale);
+        prop_assert_eq!(on.estimate().to_bits(), seq.estimate().to_bits());
         prop_assert_eq!(seq.sampler_state(), on.sampler_state());
         prop_assert_eq!(seq.stats().comparisons, on.stats().comparisons);
     }

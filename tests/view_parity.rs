@@ -255,9 +255,9 @@ fn parabacus_hosted_views_are_chunk_thread_and_depth_invariant() {
             graph, baseline_graph,
             "graph views diverged at threads {threads}, depth {depth}, chunk {chunk}"
         );
-        let scale = baseline_estimate.abs().max(1.0);
-        assert!(
-            (estimate - baseline_estimate).abs() <= 1e-9 * scale,
+        assert_eq!(
+            estimate.to_bits(),
+            baseline_estimate.to_bits(),
             "estimate diverged at threads {threads}, depth {depth}, chunk {chunk}"
         );
         let effective_depth = if threads == 1 { 1 } else { depth };
