@@ -7,9 +7,9 @@
 //! * `BENCH_intersect.json` — median ns/op of every intersection kernel
 //!   (probe / merge / gallop / adaptive) at three operand-size ratios,
 //! * `BENCH_parabacus.json` — ABACUS and single-thread PARABACUS wall time
-//!   and throughput over a fixed dataset-analog stream, with the frozen CSR
-//!   counting snapshot on and off, plus the snapshot's counting-phase
-//!   reduction in percent,
+//!   and throughput over a fixed dataset-analog stream: ABACUS with the
+//!   frozen CSR counting snapshot on and off (plus the snapshot's reduction
+//!   in percent), PARABACUS in total and in its counting phase,
 //! * `BENCH_ingest.json` — the streaming-ingest column: ABACUS throughput
 //!   over a ~1M-element on-disk workload through the materialized driver
 //!   and the pull-based text/binary sources, with measured peak heap,
@@ -296,19 +296,13 @@ fn intersect_rows(trials: usize) -> Vec<Row> {
 }
 
 /// One timed PARABACUS run: (total seconds, counting-phase seconds).
-fn run_parabacus(
-    stream: &[StreamElement],
-    budget: usize,
-    batch: usize,
-    snapshot: SnapshotMode,
-) -> (f64, f64) {
+fn run_parabacus(stream: &[StreamElement], budget: usize, batch: usize) -> (f64, f64) {
     let mut estimator = ParAbacus::new(
         ParAbacusConfig::new(budget)
             .with_seed(SEED)
             .with_batch_size(batch)
             .with_threads(1)
-            .with_pipeline_depth(1)
-            .with_snapshot(snapshot),
+            .with_pipeline_depth(1),
     );
     let start = Instant::now();
     estimator.process_stream(stream);
@@ -334,11 +328,12 @@ fn run_abacus(stream: &[StreamElement], budget: usize, snapshot: SnapshotMode) -
 /// The fig9/fig4-style workloads at threads = 1: the Movielens-like (probe
 /// dense) and Trackers-like (hub skewed) analogs at the speedup scale,
 /// budget 7500, batch size 10000 (fig9; Movielens-like additionally at the
-/// fig4 default M = 500), with the snapshot off, forced on, and in the
-/// shipped adaptive `auto` mode.
+/// fig4 default M = 500).  ABACUS runs with the CSR snapshot off and forced
+/// on; PARABACUS has one counting path (its sample replicas), so it runs
+/// once per batch size, reporting the whole run and its counting phase.
 ///
 /// The runs of every configuration are *interleaved per trial* and the
-/// reduction metrics are medians of per-trial ratios: this container's
+/// reduction metric is a median of per-trial ratios: this container's
 /// throughput drifts by tens of percent over seconds, so back-to-back
 /// pairing is the only way to get a stable comparison.
 fn parabacus_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
@@ -394,45 +389,16 @@ fn parabacus_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
             &[10_000]
         };
         for &batch in batches {
-            const MODES: [(&str, SnapshotMode); 3] = [
-                ("off", SnapshotMode::Off),
-                ("on", SnapshotMode::On),
-                ("auto", SnapshotMode::Auto),
-            ];
-            let mut totals: [Vec<f64>; 3] = Default::default();
-            let mut counting: [Vec<f64>; 3] = Default::default();
-            let mut on_ratio = Vec::new();
-            let mut auto_ratio = Vec::new();
-            for _ in 0..trials {
-                for (i, (_, mode)) in MODES.iter().enumerate() {
-                    let (total, count) = run_parabacus(&stream, budget, batch, *mode);
-                    totals[i].push(total);
-                    counting[i].push(count);
-                }
-                let last = |v: &Vec<f64>| *v.last().expect("just pushed");
-                on_ratio.push(last(&counting[1]) / last(&counting[0]));
-                auto_ratio.push(last(&counting[2]) / last(&counting[0]));
-            }
-            for (i, (label, _)) in MODES.iter().enumerate() {
+            let (totals, counting): (Vec<f64>, Vec<f64>) = (0..trials)
+                .map(|_| run_parabacus(&stream, budget, batch))
+                .unzip();
+            for (label, secs) in [("total", median(totals)), ("counting", median(counting))] {
                 rows.push(Row {
-                    name: format!("{name}/parabacus_t1_m{batch}/snapshot_{label}"),
-                    median_ns_per_op: median(totals[i].clone()) * 1e9 / elements,
-                    ops_per_second: elements / median(totals[i].clone()).max(1e-12),
-                });
-                rows.push(Row {
-                    name: format!("{name}/parabacus_t1_m{batch}/counting_{label}"),
-                    median_ns_per_op: median(counting[i].clone()) * 1e9 / elements,
-                    ops_per_second: elements / median(counting[i].clone()).max(1e-12),
+                    name: format!("{name}/parabacus_t1_m{batch}/{label}"),
+                    median_ns_per_op: secs * 1e9 / elements,
+                    ops_per_second: elements / secs.max(1e-12),
                 });
             }
-            extra.push((
-                format!("{name}_parabacus_t1_m{batch}_on_counting_reduction_percent"),
-                100.0 * (1.0 - median(on_ratio)),
-            ));
-            extra.push((
-                format!("{name}_parabacus_t1_m{batch}_auto_counting_reduction_percent"),
-                100.0 * (1.0 - median(auto_ratio)),
-            ));
         }
     }
     (rows, extra)
@@ -1006,7 +972,8 @@ fn persist_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
 /// * `parabacus_t1_overhead_before` — the paired single-thread PARABACUS /
 ///   ABACUS per-element ratio (batch 10000, snapshot off) committed before
 ///   the arena delta logs and scratch reuse landed; the matching `_after`
-///   column is recomputed from this run's `parabacus_rows` medians.
+///   column is recomputed from this run's `parabacus_rows` medians
+///   (`parabacus_t1_m10000/total` over `abacus/snapshot_off`).
 ///
 /// Doubles as the memory-regression *assertion*: at the default workload
 /// (budget 7500, scale 4, full stream) the run PANICS — failing CI — if
@@ -1076,7 +1043,7 @@ fn samplestore_rows(parabacus: &[Row]) -> (Vec<Row>, Vec<(String, f64)>) {
             before_overhead,
         ));
         if let (Some(par), Some(seq)) = (
-            median_of(&format!("{name}/parabacus_t1_m10000/snapshot_off")),
+            median_of(&format!("{name}/parabacus_t1_m10000/total")),
             median_of(&format!("{name}/abacus/snapshot_off")),
         ) {
             extra.push((

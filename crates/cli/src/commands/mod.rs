@@ -47,7 +47,8 @@ pub(crate) fn parse_estimator_spec(
     )?;
     let seed: u64 = args.parsed_or("seed", 0, "an unsigned integer")?;
     let pipeline_depth: usize = args.parsed_or("pipeline-depth", 2, "a positive integer")?;
-    // Frozen CSR counting snapshot ablation knob (ABACUS/PARABACUS only).
+    // Frozen CSR counting snapshot ablation knob (ABACUS only; PARABACUS
+    // accepts and ignores it).
     let snapshot: SnapshotMode =
         args.parsed_or("snapshot", SnapshotMode::Auto, "on, off, or auto")?;
     if budget < 2 {

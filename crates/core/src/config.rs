@@ -1,49 +1,25 @@
 //! Estimator configuration.
 
-/// Smallest budget at which [`SnapshotMode::Auto`] enables the frozen CSR
-/// counting snapshot.
-///
-/// Below this the adjacency sets are tiny, the probe kernels are already
-/// cache-resident, and the per-element snapshot maintenance would cost more
-/// than the intersections it accelerates.
-pub const AUTO_SNAPSHOT_MIN_BUDGET: usize = 256;
-
-/// Whether the estimators count against a frozen CSR snapshot of the sample
-/// (see `abacus_graph::csr`) instead of the hash-backed sample itself.
+/// Whether ABACUS counts against a frozen CSR snapshot of the sample (see
+/// `abacus_graph::csr`) instead of the hash-backed sample itself.
+/// PARABACUS accepts the setting and ignores it.
 ///
 /// Which backing counts is purely a performance choice: estimates are
-/// bit-identical at any thread count and the probe-model `comparisons`
-/// counters are unchanged, which the snapshot-parity tests assert.
+/// bit-identical and the probe-model `comparisons` counters are unchanged,
+/// which the snapshot-parity tests assert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotMode {
     /// Always count against the hash-backed sample (the ablation baseline).
     Off,
     /// Always maintain and count against the CSR snapshot.
     On,
-    /// Let each estimator enable the snapshot when it is expected to pay for
-    /// its maintenance (the default).  Sequential ABACUS always keeps the
-    /// hash path (per-element mirroring measured net-negative: −37% on the
-    /// Movielens-like analog, −6.6% on Trackers-like — see
-    /// `BENCH_parabacus.json`); PARABACUS enables the snapshot per batch
-    /// once the budget reaches [`AUTO_SNAPSHOT_MIN_BUDGET`], the mini-batch
-    /// is large enough, and the observed probe density (probes per sample
-    /// mutation) sits inside the measured profitability band (see
-    /// `ParAbacus`).  Which backing counts is numerically invisible, so this
-    /// only ever affects wall time.
+    /// The default: count on the hash path, because the snapshot has not
+    /// paid for its maintenance on any workload measured — ABACUS mirrors
+    /// every mutation per element, which measured −41% on the
+    /// Movielens-like analog and −49% on Trackers-like (see
+    /// `BENCH_parabacus.json`).
     #[default]
     Auto,
-}
-
-impl SnapshotMode {
-    /// Resolves the mode for a concrete memory budget.
-    #[must_use]
-    pub fn enabled_for(self, budget: usize) -> bool {
-        match self {
-            SnapshotMode::Off => false,
-            SnapshotMode::On => true,
-            SnapshotMode::Auto => budget >= AUTO_SNAPSHOT_MIN_BUDGET,
-        }
-    }
 }
 
 impl std::str::FromStr for SnapshotMode {
@@ -108,11 +84,10 @@ impl AbacusConfig {
     /// `Auto` resolves to the hash path here: ABACUS mirrors every sample
     /// mutation into the snapshot *per element*, and on the bench workloads
     /// that maintenance costs more than the sorted kernels recover —
-    /// `BENCH_parabacus.json` measures forcing the snapshot on as a −37%
-    /// regression on the Movielens-like analog and −6.6% on Trackers-like,
-    /// so there is no sequential workload in the sweep where it pays (the
-    /// mini-batch PARABACUS amortises the same maintenance per batch and
-    /// decides adaptively instead).  `On` forces the snapshot for ablation.
+    /// `BENCH_parabacus.json` measures forcing the snapshot on as a −41%
+    /// regression on the Movielens-like analog and −49% on Trackers-like,
+    /// so there is no sequential workload in the sweep where it pays.  `On`
+    /// forces the snapshot for ablation.
     #[must_use]
     pub fn snapshot_enabled(&self) -> bool {
         self.snapshot == SnapshotMode::On
@@ -145,7 +120,9 @@ pub struct ParAbacusConfig {
     /// alternating phase-1/phase-2 schedule; the default of `2` overlaps each
     /// batch's sequential phase with the previous batch's parallel phase.
     pub pipeline_depth: usize,
-    /// Whether phase-2 counting runs against the frozen CSR snapshot.
+    /// Carried for [`sequential`](Self::sequential) and the estimator
+    /// registry; PARABACUS itself ignores it, since it counts on replicas of
+    /// its sample and keeps no CSR snapshot.
     pub snapshot: SnapshotMode,
 }
 
@@ -211,22 +188,12 @@ impl ParAbacusConfig {
         self
     }
 
-    /// Returns the configuration with a different snapshot mode.
+    /// Returns the configuration with a different snapshot mode (which
+    /// PARABACUS ignores, see [`snapshot`](Self::snapshot)).
     #[must_use]
     pub fn with_snapshot(mut self, snapshot: SnapshotMode) -> Self {
         self.snapshot = snapshot;
         self
-    }
-
-    /// Whether this configuration is *eligible* to count against the CSR
-    /// snapshot: always under `On`, never under `Off`, and — under `Auto` —
-    /// when the budget clears [`AUTO_SNAPSHOT_MIN_BUDGET`].  For an eligible
-    /// `Auto` configuration the estimator additionally decides per batch
-    /// from its observed counting density whether the snapshot pays for its
-    /// maintenance (see `ParAbacus`).
-    #[must_use]
-    pub fn snapshot_enabled(&self) -> bool {
-        self.snapshot.enabled_for(self.budget)
     }
 
     /// The equivalent sequential configuration (same budget, seed and
@@ -267,10 +234,14 @@ mod tests {
 
     #[test]
     fn snapshot_mode_resolution_and_parsing() {
-        assert!(!SnapshotMode::Off.enabled_for(1_000_000));
-        assert!(SnapshotMode::On.enabled_for(2));
-        assert!(!SnapshotMode::Auto.enabled_for(AUTO_SNAPSHOT_MIN_BUDGET - 1));
-        assert!(SnapshotMode::Auto.enabled_for(AUTO_SNAPSHOT_MIN_BUDGET));
+        let resolved = |mode| {
+            AbacusConfig::new(1_000_000)
+                .with_snapshot(mode)
+                .snapshot_enabled()
+        };
+        assert!(!resolved(SnapshotMode::Off));
+        assert!(resolved(SnapshotMode::On));
+        assert!(!resolved(SnapshotMode::Auto));
         assert_eq!("on".parse::<SnapshotMode>().unwrap(), SnapshotMode::On);
         assert_eq!("OFF".parse::<SnapshotMode>().unwrap(), SnapshotMode::Off);
         assert_eq!("Auto".parse::<SnapshotMode>().unwrap(), SnapshotMode::Auto);
@@ -283,14 +254,12 @@ mod tests {
         assert!(c.snapshot_enabled());
 
         let p = ParAbacusConfig::new(100).with_snapshot(SnapshotMode::Off);
-        assert!(!p.snapshot_enabled());
+        assert_eq!(p.snapshot, SnapshotMode::Off);
         let seq = p.sequential();
         assert_eq!(seq.snapshot, SnapshotMode::Off);
-        // Auto: the parallel estimator is eligible above the budget
-        // threshold; the sequential one stays on the hash path (per-element
+        // Auto: the sequential estimator stays on the hash path (per-element
         // mirroring measured slower than the kernels it feeds).
-        assert!(!ParAbacusConfig::new(64).snapshot_enabled());
-        assert!(ParAbacusConfig::new(3_000).snapshot_enabled());
+        assert_eq!(ParAbacusConfig::new(64).snapshot, SnapshotMode::Auto);
         assert!(!AbacusConfig::new(3_000).snapshot_enabled());
         assert!(AbacusConfig::new(3_000)
             .with_snapshot(SnapshotMode::On)

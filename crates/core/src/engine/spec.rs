@@ -130,7 +130,7 @@ pub struct EstimatorSpec {
     pub threads: usize,
     /// PARABACUS pipeline depth (1 = the paper's alternating schedule).
     pub pipeline_depth: usize,
-    /// Frozen-CSR counting snapshot mode (ABACUS/PARABACUS).
+    /// Frozen-CSR counting snapshot mode (ABACUS; PARABACUS ignores it).
     pub snapshot: SnapshotMode,
 }
 

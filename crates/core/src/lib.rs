@@ -73,7 +73,7 @@ pub use abacus_stream::counter;
 
 pub use abacus::Abacus;
 pub use circuit::{Circuit, ViewKind};
-pub use config::{AbacusConfig, ParAbacusConfig, SnapshotMode, AUTO_SNAPSHOT_MIN_BUDGET};
+pub use config::{AbacusConfig, ParAbacusConfig, SnapshotMode};
 pub use counter::ButterflyCounter;
 pub use engine::{
     Checkpointer, EngineError, Ensemble, EnsembleMode, EnsembleSummary, EnsembleSupervisor,

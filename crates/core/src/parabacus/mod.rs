@@ -5,18 +5,27 @@
 //! mini-batch:
 //!
 //! 1. **Sequential sample-version creation** — the Random Pairing updates of
-//!    all `M` edges in the batch are applied one after the other to the live
-//!    sample; for every edge the pre-update bookkeeping triplet
-//!    `{|E|, c_b, c_g}` is cached and every adjacency change is recorded as a
-//!    versioned delta ([`versioned`]).
+//!    all `M` edges in the batch are applied one after the other to the
+//!    coordinator's sample; for every edge the pre-update bookkeeping triplet
+//!    `{|E|, c_b, c_g}` is cached and every sample mutation is appended to the
+//!    batch's op log ([`versioned`]).
 //! 2. **Parallel per-edge counting** — the batch is split into `p` equal
-//!    chunks; each worker thread counts, for each of its edges, the
-//!    butterflies the edge forms with *its* sample version (reconstructed
-//!    through a [`VersionView`](versioned::VersionView)) and extrapolates
-//!    with the increment computed from the cached triplet.
+//!    chunks.  Worker `j` owns a private replica of the sample and rolls it
+//!    through the op log in batch order; for each element of its chunk it
+//!    counts, with ABACUS's own kernel, the butterflies the edge forms with
+//!    the replica — which holds exactly that element's sample version `S_i`
+//!    at that point — and extrapolates with the increment computed from the
+//!    cached triplet.
 //! 3. **Reduction and consolidation** — once a batch's chunk results are
 //!    collected, the coordinator adds each element's increment to the
 //!    running estimate, one at a time and in stream order.
+//!
+//! Every worker receives a task for every batch, even an empty chunk when
+//! the batch is shorter than `p`, because its replica must apply every
+//! mutation to hold the next batch's pre-batch version.  The replicas are
+//! cloned from the coordinator's sample when the pool starts, before phase 1
+//! of the first dispatched batch; with one thread the coordinator keeps a
+//! single replica and runs the same chunk function inline.
 //!
 //! # The pipeline
 //!
@@ -24,25 +33,17 @@
 //! idles while the workers count, and all `p` workers idle during version
 //! creation — the serial fraction that flattens the speedup curves of
 //! Figs. 8–9.  With [`ParAbacusConfig::pipeline_depth`] `> 1` (the default is
-//! 2) the engine overlaps them instead: after sealing batch *i*'s delta log
-//! and dispatching its chunks to the worker pool, the coordinator immediately
-//! runs phase 1 of batch *i+1* while the workers are still counting batch
-//! *i*.
-//!
-//! Batch *i*'s workers hold `Arc` handles on the sample version they count
-//! against, so batch *i+1*'s updates cannot touch that buffer.  Instead the
-//! engine double-buffers: phase 1 of batch *i+1* writes into the buffer
-//! recycled from batch *i−1* after bringing it up to date by replaying the
-//! recorded op logs of the still-in-flight batches
-//! ([`VersionedDeltas::replay_onto`], O(batch) work instead of an O(k) sample
-//! clone).  `Arc`-level consolidation is thereby deferred: a buffer is only
-//! reused once the batch counting against it has been collected and its
-//! workers have dropped their handles.
+//! 2) the engine overlaps them instead: after dispatching batch *i*'s chunks
+//! to the worker pool, the coordinator immediately runs phase 1 of batch
+//! *i+1* on its own sample while the workers are still rolling their
+//! replicas through batch *i*.  Each worker's queue is FIFO, so its replica
+//! sees the batches in dispatch order.
 //!
 //! Exactness (Theorem 5) is preserved: sample transitions and RNG draws
 //! happen in stream order on the coordinator regardless of depth, every
-//! batch is counted against its own sealed versions, and the increments are
-//! added with the values and in the order ABACUS adds them, so estimates are
+//! element is counted by ABACUS's kernel against the sample state ABACUS
+//! would see, and the increments are added with the values and in the order
+//! ABACUS adds them, so estimates, sampler state and every counter are
 //! bit-for-bit identical to sequential ABACUS — the tests assert this for
 //! randomized insert/delete streams across pipeline depths and thread counts.
 //!
@@ -58,7 +59,6 @@ pub mod versioned;
 use crate::config::ParAbacusConfig;
 use crate::counter::ButterflyCounter;
 use crate::sample_graph::SampleGraph;
-use crate::snapshot::entries_to_edge_equivalents;
 use crate::stats::ProcessingStats;
 use abacus_graph::csr::CsrSnapshot;
 use abacus_graph::persist::{Decoder, Encoder, PersistError};
@@ -76,13 +76,7 @@ use versioned::{RecordingSample, VersionedDeltas};
 struct InFlightBatch {
     /// Monotone batch id (matches the `batch` tag of its chunk results).
     id: u64,
-    /// Number of chunk results to collect.
-    chunks: usize,
-    /// The sealed sample version the batch counts against; recycled as the
-    /// next spare buffer once the batch is collected.
-    sample: Arc<SampleGraph>,
-    /// The sealed delta log (also carries the op log replayed onto stale
-    /// spare buffers while this batch is in flight).
+    /// The batch's op log; recycled once the batch is collected.
     deltas: Arc<VersionedDeltas>,
     /// The batch's elements; recycled as a future buffer once collected.
     elements: Arc<Vec<StreamElement>>,
@@ -100,25 +94,12 @@ struct InFlightBatch {
 #[derive(Debug)]
 pub struct ParAbacus {
     config: ParAbacusConfig,
-    /// The live sample, reflecting phase 1 of every dispatched batch.
-    sample: Arc<SampleGraph>,
-    /// Frozen CSR mirror of the live sample that phase-2 counting runs
-    /// against when enabled.  Kept in lock-step by replaying each batch's
-    /// sealed op log (O(batch), mirroring `VersionedDeltas::replay_onto`);
-    /// while older batches still pin the `Arc`, `Arc::make_mut` clones the
-    /// flat arenas (a memcpy, not a rebuild) before patching.  `None` while
-    /// the snapshot is off (mode `Off`, or `Auto` deciding the maintenance
-    /// would cost more than the sorted kernels recover).
-    snapshot: Option<Arc<CsrSnapshot>>,
-    /// Cumulative sample mutations replayed across all sealed batches (the
-    /// maintenance-cost side of the `Auto` profitability estimate).
+    /// The coordinator's sample, reflecting phase 1 of every dispatched
+    /// batch.
+    sample: SampleGraph,
+    /// Cumulative sample mutations recorded over all dispatched batches
+    /// (each replica replays every one of them).
     replayed_ops: u64,
-    /// `(stats.comparisons, replayed_ops)` at the previous batch's snapshot
-    /// decision: the `Auto` heuristic judges *marginal* (batch-over-batch)
-    /// probe density, which converges to the workload's steady state within
-    /// a batch or two, where the cumulative ratio would drag the sample-fill
-    /// transient through the profitability band mid-stream.
-    density_marker: (u64, u64),
     policy: RandomPairing,
     rng: StdRng,
     estimate: f64,
@@ -126,15 +107,16 @@ pub struct ParAbacus {
     stats: ProcessingStats,
     thread_comparisons: Vec<u64>,
     batches: u64,
+    /// The worker pool and its replicas (`threads > 1`), started lazily
+    /// before phase 1 of the first dispatched batch.
     pool: Option<CountingPool>,
+    /// The coordinator's own replica when `threads == 1`, created at the
+    /// same point.
+    replica: Option<SampleGraph>,
     /// Dispatched-but-uncollected batches, oldest first (at most
     /// `pipeline_depth - 1` after a flush step).
     in_flight: VecDeque<InFlightBatch>,
-    /// The sample buffer recycled from the most recently collected batch.
-    /// Invariant: its state plus the op logs of `in_flight` (in order) equals
-    /// the live sample — i.e. it is stale by exactly the in-flight batches.
-    spare_sample: Option<Arc<SampleGraph>>,
-    /// Delta-log allocations recycled from collected batches.
+    /// Op logs recycled from collected batches.
     spare_deltas: Vec<Arc<VersionedDeltas>>,
     /// Element vectors recycled from collected batches; each flush takes one
     /// back as the next staging buffer, so the steady state stops allocating
@@ -154,10 +136,9 @@ pub struct ParAbacus {
 /// Wall-clock time spent in each phase of the mini-batch workflow, summed
 /// over all flushed batches.
 ///
-/// Phase 1 is inherently sequential (Random Pairing updates + delta
-/// recording, plus — in pipelined mode — bringing the double-buffered sample
-/// copy up to date); useful for explaining where the speedup curves of
-/// Figs. 8–9 saturate (Amdahl's law on phase 1).
+/// Phase 1 is inherently sequential (Random Pairing updates + op
+/// recording); useful for explaining where the speedup curves of Figs. 8–9
+/// saturate (Amdahl's law on phase 1).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Seconds spent creating sample versions sequentially (phase 1).
@@ -195,10 +176,8 @@ impl ParAbacus {
     pub fn new(config: ParAbacusConfig) -> Self {
         ParAbacus {
             config,
-            sample: Arc::new(SampleGraph::with_budget(config.budget)),
-            snapshot: None,
+            sample: SampleGraph::with_budget(config.budget),
             replayed_ops: 0,
-            density_marker: (0, 0),
             policy: RandomPairing::new(config.budget),
             rng: StdRng::seed_from_u64(config.seed),
             estimate: 0.0,
@@ -207,8 +186,8 @@ impl ParAbacus {
             thread_comparisons: vec![0; config.threads], // lint:allow(hot-path-alloc): one-time construction; fixed `p`-sized table mutated in place
             batches: 0,
             pool: None,
+            replica: None,
             in_flight: VecDeque::new(),
-            spare_sample: None,
             spare_deltas: Vec::new(), // lint:allow(hot-path-alloc): one-time construction of the recycling pools themselves
             spare_elements: Vec::new(), // lint:allow(hot-path-alloc): one-time construction of the recycling pools themselves
             spare_triplets: Vec::new(), // lint:allow(hot-path-alloc): one-time construction of the recycling pools themselves
@@ -238,11 +217,13 @@ impl ParAbacus {
         &self.sample
     }
 
-    /// The frozen CSR counting snapshot, when enabled (mirrors the live
-    /// sample after the last dispatched batch).
+    /// Always `None`: PARABACUS counts on its sample replicas and keeps no
+    /// CSR counting snapshot, whatever [`ParAbacusConfig::snapshot`] says.
+    /// The accessor stays so callers written against the snapshot-backed
+    /// engine keep compiling.
     #[must_use]
     pub fn snapshot(&self) -> Option<&CsrSnapshot> {
-        self.snapshot.as_deref()
+        None
     }
 
     /// The Random Pairing bookkeeping triplet after the last dispatched
@@ -273,10 +254,8 @@ impl ParAbacus {
         self.batches
     }
 
-    /// Cumulative sample mutations replayed into counting backings over all
-    /// collected batches — the denominator of the probe-density ratio the
-    /// `--snapshot auto` heuristic weighs [`stats`](Self::stats)
-    /// `.comparisons` against (see `BENCH_parabacus.json`).
+    /// Cumulative sample mutations recorded over all dispatched batches:
+    /// the ops each sample replica replays while counting.
     #[must_use]
     pub fn replayed_ops(&self) -> u64 {
         self.replayed_ops
@@ -315,93 +294,20 @@ impl ParAbacus {
         }
     }
 
-    /// Whether phase 2 of the batch just sealed should count against the
-    /// frozen CSR snapshot.
-    ///
-    /// `On`/`Off` are unconditional.  `Auto` estimates profitability from
-    /// observed work: maintaining the snapshot costs O(row) per replayed
-    /// sample mutation, counting against it saves on intersection probes —
-    /// but only inside a *band* of probe density (probes per replayed
-    /// mutation, measured batch-over-batch via `density_marker`).  Below
-    /// the band (mutation-dominated workloads, Orkut-like at ~0.1
-    /// probes/element) the replay costs more than it saves.  The band also
-    /// has a ceiling: far above it, the hash path is already cache-hot and
-    /// the marginal kernel savings no longer cover the maintenance.  The fig9 sweeps behind
-    /// `BENCH_parabacus.json` put the hub-skewed Trackers-like analog at
-    /// density ~18 probes/op and the probe-dense Movielens-like analog at
-    /// ~60; with the interned sample store and pooled view scratch, forcing
-    /// the snapshot on measures *positive* at both densities (the old 32×
-    /// ceiling — tuned when the hash slow path still paid per-probe malloc
-    /// churn — sat between them and cost Movielens-like runs ~6% by keeping
-    /// the snapshot off).  The 128× ceiling leaves the measured band with
-    /// ~2× headroom while still refusing pathologically probe-dominated
-    /// workloads where replay is pure overhead.  Marginal rather than
-    /// cumulative density matters on exactly that boundary: while the
-    /// sample fills, the cumulative ratio climbs *through* the band and
-    /// wrongly enables the snapshot mid-stream on workloads whose steady
-    /// state lies above it.  Which backing counts never changes estimates
-    /// or probe-model comparisons, so this adaptivity is invisible in every
-    /// reported number.
-    fn snapshot_wanted(&self) -> bool {
-        const AUTO_PROBES_PER_OP: u64 = 8;
-        const AUTO_MAX_PROBES_PER_OP: u64 = 128;
-        const AUTO_WARMUP_BATCHES: u64 = 2;
-        /// Below this mini-batch size the per-batch savings no longer cover
-        /// the snapshot's per-batch costs (measured: M = 500 regresses a few
-        /// percent while M = 10000 gains — see `BENCH_parabacus.json`).
-        const AUTO_MIN_BATCH: usize = 2_000;
-        match self.config.snapshot {
-            crate::config::SnapshotMode::Off => false,
-            crate::config::SnapshotMode::On => true,
-            crate::config::SnapshotMode::Auto => {
-                let probes = self.stats.comparisons.saturating_sub(self.density_marker.0);
-                let ops = self.replayed_ops.saturating_sub(self.density_marker.1);
-                self.config.snapshot_enabled()
-                    && self.config.batch_size >= AUTO_MIN_BATCH
-                    && self.batches > AUTO_WARMUP_BATCHES
-                    && probes >= AUTO_PROBES_PER_OP * ops
-                    && probes <= AUTO_MAX_PROBES_PER_OP * ops
+    /// Starts the replicas, if they are not running, as clones of the
+    /// coordinator's sample — which must hold the pre-batch state of the
+    /// next batch to dispatch.
+    fn ensure_replicas(&mut self) {
+        if self.config.threads == 1 {
+            if self.replica.is_none() {
+                self.replica = Some(self.sample.clone());
             }
+        } else if self.pool.is_none() {
+            self.pool = Some(CountingPool::new(self.config.threads, &self.sample));
         }
     }
 
-    /// Takes a uniquely owned sample buffer holding the live state, for the
-    /// next batch's phase 1 to mutate.
-    ///
-    /// Fast path: nothing is in flight, so the live `Arc` is unique and is
-    /// simply unwrapped.  Pipelined path: the live buffer is pinned by
-    /// in-flight workers, so the spare buffer (recycled from the last
-    /// collected batch) is brought up to date by replaying the in-flight
-    /// batches' op logs — O(total in-flight batch size), not O(k).  A full
-    /// clone of the live sample is the fallback when no spare exists yet.
-    fn take_writable_sample(&mut self) -> SampleGraph {
-        let live = std::mem::replace(&mut self.sample, Arc::new(SampleGraph::new()));
-        match Arc::try_unwrap(live) {
-            Ok(sample) => {
-                // The spare (if any) is stale by the batch we are about to
-                // apply in place, with no in-flight op log to catch it up.
-                self.spare_sample = None;
-                sample
-            }
-            Err(live) => {
-                let recycled = self
-                    .spare_sample
-                    .take()
-                    .and_then(|arc| Arc::try_unwrap(arc).ok());
-                match recycled {
-                    Some(mut stale) => {
-                        for entry in &self.in_flight {
-                            entry.deltas.replay_onto(&mut stale);
-                        }
-                        stale
-                    }
-                    None => SampleGraph::clone(&live),
-                }
-            }
-        }
-    }
-
-    /// Takes a uniquely owned, empty delta log, recycling allocations from
+    /// Takes a uniquely owned, empty op log, recycling allocations from
     /// collected batches.
     fn take_delta_log(&mut self) -> Arc<VersionedDeltas> {
         let mut log = self
@@ -410,6 +316,27 @@ impl ParAbacus {
             .unwrap_or_else(|| Arc::new(VersionedDeltas::new()));
         Arc::make_mut(&mut log).clear();
         log
+    }
+
+    /// Returns a collected batch's buffers to the recycling pools.  Every
+    /// task that held them has been consumed, so the handles are unique.
+    fn recycle(
+        &mut self,
+        deltas: Arc<VersionedDeltas>,
+        elements: Arc<Vec<StreamElement>>,
+        triplets: Arc<Vec<RandomPairingState>>,
+    ) {
+        if Arc::strong_count(&deltas) == 1 {
+            self.spare_deltas.push(deltas);
+        }
+        if let Ok(mut elements) = Arc::try_unwrap(elements) {
+            elements.clear();
+            self.spare_elements.push(elements);
+        }
+        if let Ok(mut triplets) = Arc::try_unwrap(triplets) {
+            triplets.clear();
+            self.spare_triplets.push(triplets);
+        }
     }
 
     /// Folds one chunk result into the running estimate and counters, and
@@ -423,8 +350,7 @@ impl ParAbacus {
             self.estimate += increment;
         }
         self.stats.merge(&result.stats);
-        self.thread_comparisons[result.chunk_index % self.config.threads] +=
-            result.stats.comparisons;
+        self.thread_comparisons[result.chunk_index] += result.stats.comparisons;
         self.spare_increments.push(result.increments);
     }
 
@@ -441,35 +367,15 @@ impl ParAbacus {
         let mut results = std::mem::take(&mut self.spare_results);
         self.pool
             .as_mut()
-            // lint:allow(panic-policy): the pool is created before the first batch dispatches and lives until drop; an in-flight batch without it is a bug
+            // lint:allow(panic-policy): the pool is created before the first batch dispatches and lives until drop or restore, which also drops the in-flight batches; an in-flight batch without it is a bug
             .expect("an in-flight batch requires a worker pool")
-            .collect_batch_into(entry.id, entry.chunks, &mut results);
+            .collect_batch_into(entry.id, self.config.threads, &mut results);
         self.timings.counting_seconds += wait_start.elapsed().as_secs_f64();
         for result in results.drain(..) {
             self.reduce(result);
         }
         self.spare_results = results;
-        // The workers dropped their handles before reporting, so the batch's
-        // buffers are uniquely owned again and can back the next batch.
-        if Arc::ptr_eq(&entry.sample, &self.sample) {
-            // The batch counted against the live buffer itself (it was
-            // dispatched with an empty pipeline); any older spare is now
-            // stale beyond repair since this batch's log leaves the queue.
-            self.spare_sample = None;
-        } else {
-            self.spare_sample = Some(entry.sample);
-        }
-        if Arc::strong_count(&entry.deltas) == 1 {
-            self.spare_deltas.push(entry.deltas);
-        }
-        if let Ok(mut elements) = Arc::try_unwrap(entry.elements) {
-            elements.clear();
-            self.spare_elements.push(elements);
-        }
-        if let Ok(mut triplets) = Arc::try_unwrap(entry.triplets) {
-            triplets.clear();
-            self.spare_triplets.push(triplets);
-        }
+        self.recycle(entry.deltas, entry.elements, entry.triplets);
     }
 
     fn flush_batch(&mut self) {
@@ -488,20 +394,18 @@ impl ParAbacus {
         self.batches += 1;
         // lint:allow(determinism): phase timing feeds the diagnostic timings report only, never an estimate
         let phase1_start = std::time::Instant::now();
+        self.ensure_replicas();
 
         // --- Phase 1: sequential sample-version creation. ------------------
-        // Cache the pre-update triplet of every edge and record the deltas its
-        // update applies to the sample.  The writable buffer is the live
-        // sample itself when nothing is in flight, or the recycled
-        // double-buffer while workers still count the previous batch.
-        let mut sample = self.take_writable_sample();
+        // Cache the pre-update triplet of every edge and record the
+        // mutations its update applies to the sample.
         let mut deltas_arc = self.take_delta_log();
         let deltas = Arc::make_mut(&mut deltas_arc);
         let mut triplets: Vec<RandomPairingState> = self.spare_triplets.pop().unwrap_or_default();
         triplets.reserve(m);
-        for (position, element) in elements.iter().enumerate() {
+        for element in &elements {
             triplets.push(self.policy.state());
-            let mut recorder = RecordingSample::new(&mut sample, deltas, position as u32);
+            let mut recorder = RecordingSample::new(&mut self.sample, deltas);
             match element.delta {
                 EdgeDelta::Insert => {
                     self.policy
@@ -512,103 +416,54 @@ impl ParAbacus {
                 }
             }
         }
-
-        // Freeze the delta log against the post-batch sample: one indexing
-        // pass per touched vertex makes every versioned probe in phase 2 a
-        // binary search.
-        deltas.seal(&sample);
-        self.sample = Arc::new(sample);
-
-        // Bring the frozen CSR mirror up to the sealed post-batch state by
-        // replaying the batch's op log — O(batch) row patches, with the
-        // O(sample) compaction amortised behind the snapshot's churn
-        // threshold.  Workers of still-in-flight batches pin the previous
-        // snapshot `Arc`, in which case `make_mut` clones the arenas first.
         self.replayed_ops += deltas.recorded_ops() as u64;
-        let snapshot_wanted = self.snapshot_wanted();
-        // Start the next batch's marginal-density window at this decision
-        // point (comparisons lag by the still-in-flight batches, which is a
-        // deterministic function of the pipeline depth — noise-free, just
-        // shifted by a batch).
-        self.density_marker = (self.stats.comparisons, self.replayed_ops);
-        if snapshot_wanted {
-            match &mut self.snapshot {
-                Some(snapshot) => {
-                    let snapshot = Arc::make_mut(snapshot);
-                    for (edge, added) in deltas.ops() {
-                        snapshot.apply(edge, added);
-                    }
-                }
-                None => {
-                    // (Re)build wholesale from the sealed sample — only on
-                    // enable transitions, which the cumulative statistics
-                    // make rare.
-                    self.snapshot = Some(Arc::new(CsrSnapshot::from_edges(
-                        self.sample.edges().iter().copied(),
-                    )));
-                }
-            }
-        } else {
-            self.snapshot = None;
-        }
         self.timings.sequential_seconds += phase1_start.elapsed().as_secs_f64();
 
         // --- Phase 2: parallel per-edge counting. ---------------------------
-        let threads = self.config.threads.min(m).max(1);
-        let chunk_size = m.div_ceil(threads);
+        // `p` equal chunks over at most `m` elements; workers past the last
+        // non-empty chunk get an empty range and only roll their replica.
+        let threads = self.config.threads;
+        let chunk_size = m.div_ceil(threads.min(m));
+        let budget = self.config.budget;
         let elements = Arc::new(elements);
         let triplets = Arc::new(triplets);
         let chunk_task = |chunk_index: usize, increments: Vec<f64>| CountTask {
             batch: batch_id,
-            sample: Arc::clone(&self.sample),
-            snapshot: self.snapshot.as_ref().map(Arc::clone),
             deltas: Arc::clone(&deltas_arc),
             elements: Arc::clone(&elements),
             triplets: Arc::clone(&triplets),
-            range: (chunk_index * chunk_size)..((chunk_index + 1) * chunk_size).min(m),
+            range: (chunk_index * chunk_size).min(m)..((chunk_index + 1) * chunk_size).min(m),
             chunk_index,
-            budget: self.config.budget,
+            budget,
             increments,
         };
 
-        if self.config.threads == 1 {
-            // Sequential configuration: no pool, count and reduce inline.
-            // This is the exact same per-edge code path the workers run, so
-            // estimates never depend on whether the pool was engaged.
-            // lint:allow(determinism): phase timing feeds the diagnostic timings report only, never an estimate
-            let phase2_start = std::time::Instant::now();
+        // lint:allow(determinism): phase timing feeds the diagnostic timings report only, never an estimate
+        let phase2_start = std::time::Instant::now();
+        if let Some(replica) = &mut self.replica {
+            // Sequential configuration: count and reduce inline, on the
+            // exact same per-chunk code path the workers run, so estimates
+            // never depend on whether the pool was engaged.
             let increments = self.spare_increments.pop().unwrap_or_default();
-            let result = execute_task(chunk_task(0, increments));
+            let result = execute_task(replica, chunk_task(0, increments));
             self.timings.counting_seconds += phase2_start.elapsed().as_secs_f64();
             self.reduce(result);
-            self.spare_deltas.push(deltas_arc);
-            // The task's Arc handles are gone, so the batch buffers are
-            // uniquely owned again and can stage the next batch.
-            if let Ok(mut elements) = Arc::try_unwrap(elements) {
-                elements.clear();
-                self.spare_elements.push(elements);
-            }
-            if let Ok(mut triplets) = Arc::try_unwrap(triplets) {
-                triplets.clear();
-                self.spare_triplets.push(triplets);
-            }
+            self.recycle(deltas_arc, elements, triplets);
             return;
         }
 
-        // lint:allow(determinism): dispatch timing feeds the diagnostic timings report only, never an estimate
-        let dispatch_start = std::time::Instant::now();
         let pool = self
             .pool
-            .get_or_insert_with(|| CountingPool::new(self.config.threads));
-        for chunk_index in 0..threads {
+            .as_ref()
+            // lint:allow(panic-policy): `ensure_replicas` above starts the pool whenever `threads > 1`; reaching this without one is a coordinator bug
+            .expect("a multi-threaded batch requires a worker pool");
+        for worker in 0..threads {
             let increments = self.spare_increments.pop().unwrap_or_default();
-            pool.submit(chunk_task(chunk_index, increments));
+            pool.submit(worker, chunk_task(worker, increments));
         }
-        self.timings.counting_seconds += dispatch_start.elapsed().as_secs_f64();
+        self.timings.counting_seconds += phase2_start.elapsed().as_secs_f64();
         self.in_flight.push_back(InFlightBatch {
             id: batch_id,
-            chunks: threads,
-            sample: Arc::clone(&self.sample),
             deltas: deltas_arc,
             elements,
             triplets,
@@ -648,13 +503,11 @@ impl ButterflyCounter for ParAbacus {
 
     fn memory_edges(&self) -> usize {
         // Honest accounting, mirroring `Abacus::memory_edges`: buffered
-        // elements, sampled edges, plus the edge equivalents of the CSR
-        // snapshot arenas.
-        let aux = self
-            .snapshot
-            .as_deref()
-            .map_or(0, CsrSnapshot::resident_entries);
-        self.sample.len() + self.buffer.len() + entries_to_edge_equivalents(aux)
+        // elements, sampled edges, and one replica of the sample per
+        // counting thread.  Charged from the configuration rather than from
+        // the replicas running right now, so a restored estimator reports
+        // what an uninterrupted one does.
+        self.sample.len() * (1 + self.config.threads) + self.buffer.len()
     }
 
     fn name(&self) -> &'static str {
@@ -674,21 +527,23 @@ impl ButterflyCounter for ParAbacus {
     /// why the recovery harness drives reference and interrupted runs through
     /// the same checkpoint cadence: both flush at the same element indices,
     /// so batch boundaries — and therefore RNG draws and estimates — stay
-    /// bit-aligned.  The ephemeral double-buffers, the worker pool, and the
-    /// wall-clock timings are deliberately not serialized (they never affect
-    /// results); the CSR snapshot is rebuilt from the restored sample.
+    /// bit-aligned.  The worker pool, its replicas and the wall-clock
+    /// timings are deliberately not serialized (they never affect results);
+    /// the replicas are cloned from the restored sample at the next batch.
+    ///
+    /// The layout keeps a byte and two words from the snapshot-backed engine
+    /// (whether a CSR snapshot was live, and its density marker).  They are
+    /// written as zeros and ignored on restore, so payloads from either
+    /// engine restore into the other's layout.
     fn save_state(&mut self) -> Result<Vec<u8>, PersistError> {
         self.flush();
-        if let Some(snapshot) = &mut self.snapshot {
-            Arc::make_mut(snapshot).compact();
-        }
         let mut enc = Encoder::new();
         enc.put_usize(self.config.budget);
         enc.put_u64(self.config.seed);
         enc.put_usize(self.config.batch_size);
         enc.put_usize(self.config.threads);
         enc.put_usize(self.config.pipeline_depth);
-        enc.put_u8(u8::from(self.snapshot.is_some()));
+        enc.put_u8(0); // retired: CSR snapshot present
         let state = self.policy.state();
         enc.put_usize(state.live_items);
         enc.put_usize(state.bad_deletions);
@@ -698,8 +553,8 @@ impl ButterflyCounter for ParAbacus {
         }
         self.sample.encode_state(&mut enc);
         enc.put_u64(self.replayed_ops);
-        enc.put_u64(self.density_marker.0);
-        enc.put_u64(self.density_marker.1);
+        enc.put_u64(0); // retired: snapshot density marker, comparisons
+        enc.put_u64(0); // retired: snapshot density marker, replayed ops
         enc.put_f64(self.estimate);
         crate::persist::encode_stats(&mut enc, &self.stats);
         enc.put_usize(self.thread_comparisons.len());
@@ -727,9 +582,14 @@ impl ButterflyCounter for ParAbacus {
                 "PARABACUS snapshot was written under a different configuration".into(),
             ));
         }
-        // Snapshot presence is *state* under `Auto` (decided per batch), not
-        // configuration — apply it rather than checking it.
-        let snapshot_present = dec.get_u8()? != 0;
+        // The replicas and in-flight batches belong to the state being
+        // replaced: drop them, so the next batch clones fresh replicas from
+        // the restored sample.
+        self.pool = None;
+        self.replica = None;
+        self.in_flight.clear();
+        self.buffer.clear();
+        dec.get_u8()?; // retired: CSR snapshot present
         let triplet = RandomPairingState {
             live_items: dec.get_usize()?,
             bad_deletions: dec.get_usize()?,
@@ -741,9 +601,10 @@ impl ButterflyCounter for ParAbacus {
             *word = dec.get_u64()?;
         }
         self.rng = StdRng::from_state(rng_state);
-        Arc::make_mut(&mut self.sample).restore_state(&mut dec)?;
+        self.sample.restore_state(&mut dec)?;
         self.replayed_ops = dec.get_u64()?;
-        self.density_marker = (dec.get_u64()?, dec.get_u64()?);
+        dec.get_u64()?; // retired: snapshot density marker, comparisons
+        dec.get_u64()?; // retired: snapshot density marker, replayed ops
         self.estimate = dec.get_f64()?;
         self.stats = crate::persist::decode_stats(&mut dec)?;
         let workloads = dec.get_usize()?;
@@ -757,12 +618,7 @@ impl ButterflyCounter for ParAbacus {
             *comparisons = dec.get_u64()?;
         }
         self.batches = dec.get_u64()?;
-        dec.expect_end()?;
-        self.snapshot = snapshot_present
-            .then(|| Arc::new(CsrSnapshot::from_edges(self.sample.edges().iter().copied())));
-        self.buffer.clear();
-        self.spare_sample = None;
-        Ok(())
+        dec.expect_end()
     }
 }
 
@@ -801,6 +657,7 @@ mod tests {
             (500, 8, 2),
             (500, 8, 4),
             (997, 3, 3),
+            (3, 8, 2),
         ] {
             let mut seq = Abacus::new(AbacusConfig::new(256).with_seed(9));
             seq.process_stream(&stream);
@@ -821,8 +678,8 @@ mod tests {
                 "{label}"
             );
             assert_eq!(par.in_flight_batches(), 0, "{label}");
-            // Sampled state is identical; `memory_edges` itself may differ by
-            // the lazily built sorted caches each code path happened to touch.
+            // Sampled state is identical (`memory_edges` is not: PARABACUS
+            // also charges its replicas).
             assert_eq!(seq.sample().len(), par.sample().len(), "{label}");
             assert_eq!(
                 seq.sampler_state(),
@@ -941,38 +798,92 @@ mod tests {
         assert!(target.restore_state(&payload[..payload.len() - 3]).is_err());
     }
 
-    /// The frozen-snapshot ablation: with identical seeds, snapshot-backed
-    /// and hash-backed counting produce the same estimates (bit-equal at one
-    /// thread), identical comparisons, and a snapshot in lock-step with the
-    /// live sample, across pipeline depths.
+    /// Restoring into an estimator that is mid-stream — batches in flight,
+    /// elements buffered, replicas rolled through another stream — discards
+    /// all of that and continues exactly like the run that saved.
     #[test]
-    fn snapshot_backing_is_an_exact_ablation() {
-        use crate::config::SnapshotMode;
-        let stream = dynamic_stream(21, 3_000, 0.2);
-        for &(threads, depth) in &[(1usize, 1usize), (1, 3), (4, 2)] {
-            let base = ParAbacusConfig::new(300)
-                .with_seed(8)
-                .with_batch_size(128)
-                .with_threads(threads)
-                .with_pipeline_depth(depth);
-            let mut with = ParAbacus::new(base.with_snapshot(SnapshotMode::On));
-            let mut without = ParAbacus::new(base.with_snapshot(SnapshotMode::Off));
-            with.process_stream(&stream);
-            without.process_stream(&stream);
-            assert_eq!(
-                with.estimate().to_bits(),
-                without.estimate().to_bits(),
-                "threads {threads}, depth {depth}"
-            );
-            assert_eq!(with.stats().comparisons, without.stats().comparisons);
-            assert_eq!(with.sampler_state(), without.sampler_state());
-            assert_eq!(
-                with.snapshot().expect("snapshot enabled").num_edges(),
-                with.sample().len(),
-                "snapshot fell out of lock-step (threads {threads}, depth {depth})"
-            );
-            assert!(without.snapshot().is_none());
+    fn restore_into_a_used_estimator_continues_bit_identically() {
+        let stream = dynamic_stream(17, 2_000, 0.2);
+        let other = dynamic_stream(18, 1_000, 0.2);
+        let cut = 1_100;
+        let config = ParAbacusConfig::new(256)
+            .with_seed(5)
+            .with_batch_size(64)
+            .with_threads(2)
+            .with_pipeline_depth(3);
+
+        let mut reference = ParAbacus::new(config);
+        reference.process_stream(&stream[..cut]);
+        let payload = reference.save_state().expect("save must succeed");
+        reference.process_stream(&stream[cut..]);
+
+        let mut used = ParAbacus::new(config);
+        for element in &other[..700] {
+            used.process(*element);
         }
+        assert!(used.in_flight_batches() > 0, "no batch in flight");
+        assert!(used.pending_elements() > 0, "no element buffered");
+        used.restore_state(&payload).expect("restore must succeed");
+        assert_eq!(used.in_flight_batches(), 0);
+        assert_eq!(used.pending_elements(), 0);
+        used.process_stream(&stream[cut..]);
+
+        assert_eq!(reference.estimate().to_bits(), used.estimate().to_bits());
+        assert_eq!(reference.sampler_state(), used.sampler_state());
+        assert_eq!(reference.stats(), used.stats());
+        assert_eq!(reference.thread_workloads(), used.thread_workloads());
+        assert_eq!(reference.replayed_ops(), used.replayed_ops());
+        assert_eq!(reference.memory_edges(), used.memory_edges());
+        assert_eq!(reference.sample().edges(), used.sample().edges());
+        assert_eq!(reference.save_state().unwrap(), used.save_state().unwrap());
+    }
+
+    /// Payloads written while a CSR snapshot was live carry the snapshot
+    /// byte set and a non-zero density marker; they restore, and the run
+    /// continues bit-exactly.
+    #[test]
+    fn payloads_with_the_snapshot_fields_set_restore_bit_exactly() {
+        let stream = dynamic_stream(19, 2_000, 0.2);
+        let cut = 900;
+        let config = ParAbacusConfig::new(256)
+            .with_seed(3)
+            .with_batch_size(96)
+            .with_threads(2)
+            .with_pipeline_depth(2);
+        let mut reference = ParAbacus::new(config);
+        reference.process_stream(&stream[..cut]);
+        let payload = reference.save_state().expect("save must succeed");
+        reference.process_stream(&stream[cut..]);
+
+        // Budget, seed, batch size, threads and depth precede the snapshot
+        // byte; the two density words precede the trailer of estimate,
+        // stats, per-thread workloads and batch count.
+        let snapshot_byte = 5 * 8;
+        let mut trailer = Encoder::new();
+        crate::persist::encode_stats(&mut trailer, &ProcessingStats::default());
+        let trailer = 8 + trailer.finish().len() + 8 * (2 + config.threads);
+        let density = payload.len() - trailer - 16;
+        let mut patched = payload.clone();
+        assert_eq!(patched[snapshot_byte], 0);
+        assert!(patched[density..density + 16].iter().all(|&b| b == 0));
+        patched[snapshot_byte] = 1;
+        patched[density..density + 8].copy_from_slice(&123_456u64.to_le_bytes());
+        patched[density + 8..density + 16].copy_from_slice(&7_890u64.to_le_bytes());
+
+        let mut resumed = ParAbacus::new(config);
+        resumed
+            .restore_state(&patched)
+            .expect("a payload with the snapshot fields set must restore");
+        resumed.process_stream(&stream[cut..]);
+        assert_eq!(reference.estimate().to_bits(), resumed.estimate().to_bits());
+        assert_eq!(reference.sampler_state(), resumed.sampler_state());
+        assert_eq!(reference.stats(), resumed.stats());
+        assert_eq!(reference.thread_workloads(), resumed.thread_workloads());
+        assert!(resumed.snapshot().is_none());
+        assert_eq!(
+            reference.save_state().unwrap(),
+            resumed.save_state().unwrap()
+        );
     }
 
     /// The pipeline defers reduction, never correctness: while batches are in
@@ -1123,7 +1034,9 @@ mod tests {
         }
         assert_eq!(par.memory_edges(), 10); // all buffered, none sampled yet
         par.flush();
-        assert!(par.memory_edges() <= 8);
+        // The full sample, plus one replica of it per counting thread.
+        assert_eq!(par.sample().len(), 8);
+        assert_eq!(par.memory_edges(), 8 * (1 + par.config().threads));
     }
 
     proptest! {

@@ -4,21 +4,23 @@
 //! microseconds per batch — more than the entire per-edge counting work of a
 //! small batch on a laptop-scale sample — and flattens the speedup curves of
 //! Figs. 8 and 9.  [`CountingPool`] therefore keeps `p` worker threads alive
-//! for the lifetime of the estimator and hands them one [`CountTask`] per
-//! batch chunk through a channel.
+//! for the lifetime of the estimator.
 //!
-//! The pool deliberately avoids scoped borrows (the crate forbids `unsafe`):
-//! each task carries cheap [`Arc`] handles to the live sample, the sealed
-//! delta log, the batch, and the cached sampler triplets.  A worker drops its
-//! handles *before* reporting the chunk result, so once the coordinator has
-//! collected every result of a batch the estimator again holds the only
-//! reference and `Arc::make_mut` mutates the sample in place without cloning.
+//! Worker `j` owns a private replica of the sample and reads [`CountTask`]s
+//! from its own FIFO channel.  Every worker receives one task per batch —
+//! an empty chunk when the batch is shorter than `p` — because its replica
+//! must roll through every sample mutation, in dispatch order, to hold the
+//! pre-batch version of the next batch.
+//!
+//! A task carries cheap [`Arc`] handles to the batch's op log, elements and
+//! cached sampler triplets.  A worker drops its task *before* reporting the
+//! chunk result, so once the coordinator has collected every result of a
+//! batch it again holds the only reference and can recycle the buffers.
 
 use crate::probability::increment;
 use crate::sample_graph::SampleGraph;
 use crate::stats::ProcessingStats;
 use abacus_graph::count_butterflies_with_edge;
-use abacus_graph::csr::CsrSnapshot;
 use abacus_sampling::RandomPairingState;
 use abacus_stream::StreamElement;
 use crossbeam::channel::{Receiver, Sender};
@@ -26,10 +28,11 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use super::versioned::{VersionView, VersionedDeltas};
+use super::versioned::VersionedDeltas;
 
-/// One chunk of a mini-batch: count the butterflies of the elements in
-/// `range` against their respective sample versions.
+/// One chunk of a mini-batch: roll a replica through the batch and count
+/// the butterflies of the elements in `range` against their sample
+/// versions on the way.
 #[derive(Debug, Clone)]
 pub(super) struct CountTask {
     /// Monotone id of the mini-batch this chunk belongs to.  With the
@@ -37,18 +40,14 @@ pub(super) struct CountTask {
     /// results interleave on the shared result channel; the id lets the
     /// coordinator collect exactly one batch's results at a time.
     pub batch: u64,
-    /// The sealed (post-batch) sample version the chunk counts against.
-    pub sample: Arc<SampleGraph>,
-    /// The frozen CSR mirror of the sealed sample; when present, the
-    /// versioned views count against it instead of the hash-backed sample.
-    pub snapshot: Option<Arc<CsrSnapshot>>,
-    /// The sealed delta log of the batch.
+    /// The batch's op log.
     pub deltas: Arc<VersionedDeltas>,
     /// The batch elements.
     pub elements: Arc<Vec<StreamElement>>,
     /// Pre-update Random Pairing triplets, one per batch element.
     pub triplets: Arc<Vec<RandomPairingState>>,
-    /// The half-open element range this task covers.
+    /// The half-open element range this task counts (empty for a worker
+    /// without elements in a short batch).
     pub range: Range<usize>,
     /// Which of the `p` static partitions this chunk is (for Fig. 10's
     /// per-thread workload attribution).
@@ -76,17 +75,20 @@ pub(super) struct ChunkResult {
     pub stats: ProcessingStats,
 }
 
-/// Executes one chunk: per-edge counting against each element's own sample
-/// version, extrapolated with the increment of Eq. 1.
+/// Executes one chunk on `replica`, which must hold the batch's pre-batch
+/// sample version `S_0`; on return it holds the post-batch version.
 ///
-/// This is the exact same code path the single-threaded fallback uses, so
-/// estimates never depend on whether the pool was engaged.  The task is
-/// consumed, so its `Arc` handles are released before the result returns.
-pub(super) fn execute_task(task: CountTask) -> ChunkResult {
+/// The replica is rolled to `S_start` of the chunk, then each element `i`
+/// is counted with ABACUS's kernel against the replica (which holds exactly
+/// `S_i` at that point) and extrapolated with the increment of Eq. 1 before
+/// position `i`'s mutations are applied; finally the rest of the batch is
+/// rolled in.  This is the exact same code path the single-threaded
+/// configuration runs inline, so estimates never depend on whether the pool
+/// was engaged.  The task is consumed, so its `Arc` handles are released
+/// before the result returns.
+pub(super) fn execute_task(replica: &mut SampleGraph, task: CountTask) -> ChunkResult {
     let CountTask {
         batch,
-        sample,
-        snapshot,
         deltas,
         elements,
         triplets,
@@ -97,14 +99,10 @@ pub(super) fn execute_task(task: CountTask) -> ChunkResult {
     } = task;
     increments.clear();
     let mut stats = ProcessingStats::default();
-    for position in range {
+    deltas.roll(replica, 0..range.start);
+    for position in range.clone() {
         let element = elements[position];
-        let version = position as u32;
-        let view = match &snapshot {
-            Some(snapshot) => VersionView::over_snapshot(snapshot, &sample, &deltas, version),
-            None => VersionView::new(&sample, &deltas, version),
-        };
-        let per_edge = count_butterflies_with_edge(&view, element.edge);
+        let per_edge = count_butterflies_with_edge(&*replica, element.edge);
         let is_insert = element.delta.is_insert();
         if per_edge.butterflies > 0 {
             increments.push(
@@ -112,7 +110,9 @@ pub(super) fn execute_task(task: CountTask) -> ChunkResult {
             );
         }
         stats.record_element(is_insert, per_edge.butterflies, per_edge.comparisons);
+        deltas.roll(replica, position..position + 1);
     }
+    deltas.roll(replica, range.end..deltas.positions());
     ChunkResult {
         batch,
         chunk_index,
@@ -127,10 +127,12 @@ pub(super) fn execute_task(task: CountTask) -> ChunkResult {
 /// blocks forever on a result that will never arrive.
 type WorkerReport = Result<ChunkResult, String>;
 
-/// A fixed-size pool of persistent counting workers.
+/// A fixed-size pool of persistent counting workers, each owning a replica
+/// of the sample.
 #[derive(Debug)]
 pub(super) struct CountingPool {
-    task_tx: Option<Sender<CountTask>>,
+    /// Worker `j`'s FIFO task queue.
+    task_txs: Vec<Sender<CountTask>>,
     result_rx: Receiver<WorkerReport>,
     /// Results that arrived for a newer batch while an older one was being
     /// collected (workers finish chunks in arbitrary order across in-flight
@@ -141,26 +143,27 @@ pub(super) struct CountingPool {
 }
 
 impl CountingPool {
-    /// Spawns `workers` persistent threads.
-    pub fn new(workers: usize) -> Self {
+    /// Spawns `workers` persistent threads, each owning a clone of `sample`
+    /// as its replica.
+    pub fn new(workers: usize, sample: &SampleGraph) -> Self {
         assert!(workers >= 1, "a counting pool needs at least one worker");
-        let (task_tx, task_rx) = crossbeam::channel::unbounded::<CountTask>();
         let (result_tx, result_rx) = crossbeam::channel::unbounded::<WorkerReport>();
-        let handles = (0..workers)
+        let (task_txs, handles) = (0..workers)
             .map(|index| {
-                let task_rx = task_rx.clone();
+                let (task_tx, task_rx) = crossbeam::channel::unbounded::<CountTask>();
                 let result_tx = result_tx.clone();
-                std::thread::Builder::new()
+                let mut replica = sample.clone();
+                let handle = std::thread::Builder::new()
                     .name(format!("parabacus-worker-{index}"))
                     .spawn(move || {
                         while let Ok(task) = task_rx.recv() {
                             // `execute_task` consumes the task, so its Arc
                             // handles are gone before the report is sent and
-                            // the coordinator can recycle the version's
-                            // buffers once all results of the batch arrived.
+                            // the coordinator can recycle the batch's buffers
+                            // once all its results arrived.
                             let report =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    execute_task(task)
+                                    execute_task(&mut replica, task)
                                 }))
                                 .map_err(|payload| panic_message(&payload));
                             let failed = report.is_err();
@@ -170,23 +173,21 @@ impl CountingPool {
                         }
                     })
                     // lint:allow(panic-policy): pool construction cannot report errors through the infallible ButterflyCounter API, and a host that cannot spawn threads cannot run PARABACUS at all
-                    .expect("failed to spawn PARABACUS worker thread")
+                    .expect("failed to spawn PARABACUS worker thread");
+                (task_tx, handle)
             })
-            .collect();
+            .unzip();
         CountingPool {
-            task_tx: Some(task_tx),
+            task_txs,
             result_rx,
             parked: Vec::new(), // lint:allow(hot-path-alloc): one-time pool construction; parked entries are drained in place per batch
             workers: handles,
         }
     }
 
-    /// Submits one chunk for execution.
-    pub fn submit(&self, task: CountTask) {
-        self.task_tx
-            .as_ref()
-            // lint:allow(panic-policy): submit-after-shutdown is a coordinator bug, not a runtime condition; the sender lives until drop()
-            .expect("pool already shut down")
+    /// Queues `task` on worker `worker`'s FIFO channel.
+    pub fn submit(&self, worker: usize, task: CountTask) {
+        self.task_txs[worker]
             .send(task)
             // lint:allow(panic-policy): a dead worker already propagated its own panic; this re-raises the crash on the coordinator by design (PR 2)
             .expect("PARABACUS worker threads terminated unexpectedly");
@@ -199,8 +200,8 @@ impl CountingPool {
     ///
     /// When [`collect_batch_into`](Self::collect_batch_into) returns, every
     /// worker that executed a chunk of `batch` has already dropped its task —
-    /// and with it its `Arc` handles on that batch's sample version — so the
-    /// coordinator can recycle the version's buffer.
+    /// and with it its `Arc` handles on that batch's buffers — so the
+    /// coordinator can recycle them.
     /// # Panics
     /// Re-raises (as a coordinator panic) any panic that occurred on a worker
     /// thread while executing a chunk.
@@ -250,9 +251,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 impl Drop for CountingPool {
     fn drop(&mut self) {
-        // Disconnect the task channel so idle workers exit their receive loop,
-        // then wait for them to finish.
-        self.task_tx = None;
+        // Disconnect the task channels so idle workers exit their receive
+        // loops, then wait for them to finish.
+        self.task_txs.clear();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -262,6 +263,7 @@ impl Drop for CountingPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parabacus::versioned::RecordingSample;
     use abacus_graph::Edge;
     use abacus_sampling::SampleStore;
 
@@ -271,6 +273,11 @@ mod tests {
             sample.store_insert(Edge::new(l, r));
         }
         sample
+    }
+
+    /// The pre-batch sample every test batch starts from.
+    fn base_sample() -> SampleGraph {
+        sample_with(&[(0, 11), (1, 10), (1, 11)])
     }
 
     fn triplets_for(len: usize) -> Vec<RandomPairingState> {
@@ -284,15 +291,17 @@ mod tests {
         ]
     }
 
+    /// A task over a batch whose positions mutate nothing, so every version
+    /// equals the base sample.
     fn task_for(elements: Vec<StreamElement>, range: Range<usize>) -> CountTask {
-        let sample = sample_with(&[(0, 11), (1, 10), (1, 11)]);
+        let mut sample = base_sample();
         let mut deltas = VersionedDeltas::new();
-        deltas.seal(&sample);
+        for _ in &elements {
+            let _ = RecordingSample::new(&mut sample, &mut deltas);
+        }
         let triplets = triplets_for(elements.len());
         CountTask {
             batch: 0,
-            sample: Arc::new(sample),
-            snapshot: None,
             deltas: Arc::new(deltas),
             elements: Arc::new(elements),
             triplets: Arc::new(triplets),
@@ -304,38 +313,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_backed_tasks_count_identically() {
-        let batch = vec![
-            StreamElement::insert(Edge::new(0, 10)),
-            StreamElement::delete(Edge::new(0, 10)),
-        ];
-        let hash_task = task_for(batch, 0..2);
-        let mut snap_task = hash_task.clone();
-        snap_task.snapshot = Some(Arc::new(CsrSnapshot::from_edges(
-            hash_task.sample.edges().iter().copied(),
-        )));
-        let hash_result = execute_task(hash_task);
-        let snap_result = execute_task(snap_task);
-        let bits = |result: &ChunkResult| -> Vec<u64> {
-            result
-                .increments
-                .iter()
-                .copied()
-                .map(f64::to_bits)
-                .collect()
-        };
-        assert_eq!(bits(&hash_result), bits(&snap_result));
-        assert_eq!(hash_result.stats, snap_result.stats);
-    }
-
-    #[test]
     fn execute_task_counts_and_extrapolates() {
         // Budget far above the live population: probability 1, increment ±1.
         let batch = vec![
             StreamElement::insert(Edge::new(0, 10)),
             StreamElement::delete(Edge::new(0, 10)),
         ];
-        let result = execute_task(task_for(batch, 0..2));
+        let result = execute_task(&mut base_sample(), task_for(batch, 0..2));
         // The insertion finds the butterfly (+1), the deletion removes it
         // (−1), reported in stream order.
         assert_eq!(result.increments, [1.0, -1.0]);
@@ -349,19 +333,56 @@ mod tests {
             StreamElement::insert(Edge::new(0, 10)),
             StreamElement::insert(Edge::new(5, 50)),
         ];
-        let result = execute_task(task_for(batch, 1..2));
+        let result = execute_task(&mut base_sample(), task_for(batch, 1..2));
         assert_eq!(result.stats.elements, 1);
         assert!(result.increments.is_empty());
     }
 
+    /// Every chunk counts against its own versions and leaves the replica
+    /// at the post-batch sample, whichever range it covers.
+    #[test]
+    fn execute_task_rolls_the_replica_through_the_whole_batch() {
+        // Element 0 closes a butterfly with the pre-batch sample; its
+        // update inserts (0,10), and position 1's removes (1,11).  Element 1
+        // touches only fresh vertices.
+        let batch = vec![
+            StreamElement::insert(Edge::new(0, 10)),
+            StreamElement::insert(Edge::new(2, 12)),
+        ];
+        let mut sample = base_sample();
+        let mut deltas = VersionedDeltas::new();
+        RecordingSample::new(&mut sample, &mut deltas).store_insert(Edge::new(0, 10));
+        RecordingSample::new(&mut sample, &mut deltas).store_remove(&Edge::new(1, 11));
+        let deltas = Arc::new(deltas);
+        for range in [0..2, 0..1, 1..2, 2..2] {
+            let mut replica = base_sample();
+            let result = execute_task(
+                &mut replica,
+                CountTask {
+                    batch: 0,
+                    deltas: Arc::clone(&deltas),
+                    elements: Arc::new(batch.clone()),
+                    triplets: Arc::new(triplets_for(2)),
+                    range: range.clone(),
+                    chunk_index: 0,
+                    budget: 100,
+                    increments: Vec::new(),
+                },
+            );
+            let want = u64::from(range.contains(&0));
+            assert_eq!(result.stats.discovered_butterflies, want, "{range:?}");
+            assert_eq!(replica.edges(), sample.edges(), "{range:?}");
+        }
+    }
+
     #[test]
     fn pool_runs_tasks_and_returns_all_results() {
-        let mut pool = CountingPool::new(3);
+        let mut pool = CountingPool::new(4, &base_sample());
         let batch = vec![StreamElement::insert(Edge::new(0, 10)); 8];
         for chunk in 0..4usize {
             let mut task = task_for(batch.clone(), (chunk * 2)..(chunk * 2 + 2));
             task.chunk_index = chunk;
-            pool.submit(task);
+            pool.submit(chunk, task);
         }
         let mut results = Vec::new();
         pool.collect_batch_into(0, 4, &mut results);
@@ -369,20 +390,21 @@ mod tests {
         for (i, result) in results.iter().enumerate() {
             assert_eq!(result.chunk_index, i, "results come back in chunk order");
             assert_eq!(result.stats.elements, 2);
+            assert_eq!(result.stats.discovered_butterflies, 2);
         }
     }
 
     #[test]
     fn interleaved_batches_are_collected_separately() {
-        let mut pool = CountingPool::new(4);
+        let mut pool = CountingPool::new(2, &base_sample());
         let elements = vec![StreamElement::insert(Edge::new(0, 10)); 2];
         // Two in-flight batches with two chunks each, submitted interleaved.
-        for chunk in 0..2usize {
-            for batch_id in 0..2u64 {
+        for batch_id in 0..2u64 {
+            for chunk in 0..2usize {
                 let mut task = task_for(elements.clone(), 0..2);
                 task.batch = batch_id;
                 task.chunk_index = chunk;
-                pool.submit(task);
+                pool.submit(chunk, task);
             }
         }
         // Collect the batches in order; results of batch 1 that complete
@@ -400,19 +422,19 @@ mod tests {
 
     #[test]
     fn workers_release_their_handles_before_reporting() {
-        let mut pool = CountingPool::new(2);
+        let mut pool = CountingPool::new(2, &base_sample());
         let elements = Arc::new(vec![StreamElement::insert(Edge::new(0, 10)); 4]);
-        let mut task = task_for(Vec::new(), 0..0);
-        task.batch = 0;
+        let mut task = task_for(vec![StreamElement::insert(Edge::new(0, 10)); 4], 0..4);
         task.elements = Arc::clone(&elements);
-        task.triplets = Arc::new(triplets_for(elements.len()));
-        task.range = 0..4;
-        pool.submit(task.clone());
-        pool.submit(CountTask {
-            range: 0..2,
-            chunk_index: 1,
-            ..task
-        });
+        pool.submit(0, task.clone());
+        pool.submit(
+            1,
+            CountTask {
+                range: 0..2,
+                chunk_index: 1,
+                ..task
+            },
+        );
         pool.collect_batch_into(0, 2, &mut Vec::new());
         // Both workers reported, so the only remaining strong reference to the
         // element vector is the local one.
@@ -421,7 +443,7 @@ mod tests {
 
     #[test]
     fn dropping_the_pool_joins_all_workers() {
-        let pool = CountingPool::new(4);
+        let pool = CountingPool::new(4, &SampleGraph::new());
         drop(pool); // must not hang or panic
     }
 }

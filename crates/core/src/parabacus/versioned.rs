@@ -1,436 +1,114 @@
-//! Versioned sample views for mini-batch processing.
+//! The per-batch op log that rolls sample replicas through a mini-batch's
+//! versions.
 //!
-//! PARABACUS first replays the sample updates of a whole mini-batch
-//! sequentially (cheap, O(1) amortised per edge) while *recording the deltas*
-//! each update applies to the sample.  Afterwards the per-edge butterfly
-//! counting for edge `i` of the batch must see the sample exactly as it was
-//! before edge `i`'s own update — the *i-th version* `S_i` of the paper —
-//! even though the physical sample has already advanced to the post-batch
-//! state.
+//! PARABACUS first applies the sample updates of a whole mini-batch
+//! sequentially (cheap, O(1) amortised per edge).  Afterwards the per-edge
+//! butterfly counting for edge `i` of the batch must see the sample exactly
+//! as it was before edge `i`'s own update — the *i-th version* `S_i` of the
+//! paper (§V-A) — even though the coordinator's sample has already advanced
+//! to the post-batch state.
 //!
-//! Storing `M` full snapshots would cost O(M·k) memory; instead, only the
-//! per-vertex discrepancies between consecutive versions are kept
-//! (`VersionedDeltas`), and [`VersionView`] reconstructs any version on the
-//! fly by *undoing* the deltas with a version tag greater than or equal to the
-//! requested one.  This is exactly the "store only the discrepancies between
-//! the neighboring sets of each vertex" design of §V-A.
+//! Phase 1 drives the sampling policy through a [`RecordingSample`], which
+//! appends every sample mutation to a [`VersionedDeltas`] log in
+//! application order and notes where each batch position's mutations begin.
+//! Each counting worker owns a private replica of the sample that holds the
+//! pre-batch state `S_0`, and [rolls](VersionedDeltas::roll) it forward one
+//! position at a time: the replica holds exactly `S_i` when element `i` is
+//! counted, and position `i`'s mutations are applied right after.  Counting
+//! therefore runs ABACUS's own kernel on a plain [`SampleGraph`], and a
+//! replica pays each mutation of the batch once, O(batch) per worker.
 //!
-//! The delta log goes through two phases:
+//! [`SampleGraph`]'s mutations are deterministic in the operation sequence,
+//! so a replica rolled through every batch stays structurally identical to
+//! the coordinator's sample, down to the slot order of its edge vector.
 //!
-//! 1. **Recording** (sequential, phase 1 of PARABACUS) — every adjacency
-//!    change is appended to one flat `(vertex, change)` log in version order.
-//! 2. **Sealed** (parallel, phase 2) — [`VersionedDeltas::seal`] groups the
-//!    flat log by vertex (a stable sort, so each vertex's changes stay in
-//!    version order) and builds two query indexes per touched vertex:
-//!    * *degree suffix sums* so the degree of a vertex at any version is one
-//!      binary search away from its live degree, and
-//!    * *override intervals* — for every `(vertex, neighbor)` pair whose
-//!      historic state in some version range differs from the final live
-//!      sample, the range `[lo, hi]` of versions and the historic presence.
-//!      Intervals that agree with the live sample are pruned, so membership
-//!      probes fall through to the live sample for free and neighbor
-//!      iteration only pays for genuinely resurrected pairs.
-//!
-//! A [`VersionView`] resolves each vertex it touches once — one delta-log
-//! lookup and one sample lookup — and reads the override intervals in place
-//! from the sealed arena.  When no override applies at the view's version
-//! (the batch did not touch the vertex, or its state at that version equals
-//! the live one), the live sample's own intersection kernels run unchanged,
-//! and the per-edge kernel's wedge loop resolves its fixed operand once per
-//! edge ([`NeighborhoodView::view_count_via_anchor`]).  Measured on the
-//! Trackers analog (312 000 elements, budget 30 000, batch 10 000, one
-//! thread, fastest of three runs on a 2-vCPU host), the line-7 test takes
-//! 0.42 s through versioned views against 0.12 s on the live sample under
-//! ABACUS, and the wedge intersections 1.02 s against 0.70 s.
-//!
-//! Both indexes live in two arenas shared across all vertices of the batch
-//! (`degree_suffix`, `overrides`), with a per-vertex map holding only `Copy`
-//! range descriptors into them.  [`clear`](VersionedDeltas::clear) therefore
-//! never frees per-vertex vectors: every batch reuses the previous batch's
-//! arena capacity, and the steady-state sealing pass performs no allocation
-//! beyond the sort's scratch.  The read side allocates nothing: a view is a
-//! handful of references and a version number.
+//! [`clear`](VersionedDeltas::clear) keeps both vectors' capacity, so the
+//! coordinator records every batch into recycled logs.
 
 use crate::sample_graph::SampleGraph;
-use crate::snapshot::hybrid_intersection_excluding;
-use abacus_graph::adjacency::AdjacencySet;
-use abacus_graph::csr::CsrSnapshot;
-use abacus_graph::intersect::{intersection_count_excluding, IntersectionResult};
-use abacus_graph::{Edge, FxHashMap, NeighborhoodView, PerEdgeCount, VertexRef};
+use abacus_graph::Edge;
 use abacus_sampling::SampleStore;
 use rand::Rng;
-use std::ops::{ControlFlow, Range};
+use std::ops::Range;
 
-/// One recorded adjacency change: at version `version`, `neighbor` was added
-/// to (or removed from) the neighbor set of the owning vertex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DeltaEntry {
-    /// The neighbor on the opposite side.
-    neighbor: u32,
-    /// The batch position whose sample update produced this change.  The
-    /// change is *not yet visible* at versions `<= version`.
-    version: u32,
-    /// `true` for an addition, `false` for a removal.
-    added: bool,
-}
-
-/// A version range in which a pair's historic state differs from the final
-/// live sample: for every view version `t` with `lo <= t <= hi`, the pair
-/// `(owner, neighbor)` was `present` (and the live sample says otherwise).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct OverrideInterval {
-    neighbor: u32,
-    lo: u32,
-    hi: u32,
-    present: bool,
-}
-
-impl OverrideInterval {
-    /// Whether the interval applies to view version `t`.
-    #[inline]
-    fn covers(&self, t: u32) -> bool {
-        self.lo <= t && t <= self.hi
-    }
-}
-
-/// Where one vertex's sealed indexes live inside the shared arenas.
-///
-/// Keeping only `Copy` ranges in the per-vertex map (instead of per-vertex
-/// vectors) is what lets [`VersionedDeltas::clear`] retain every allocation
-/// across batches.
-#[derive(Debug, Clone, Copy)]
-struct VertexRanges {
-    /// `degree_suffix` arena slice, ascending version order.
-    ds_start: u32,
-    ds_end: u32,
-    /// `overrides` arena slice, sorted by `(neighbor, lo)`.
-    ov_start: u32,
-    ov_end: u32,
-}
-
-/// One vertex's sealed query indexes, borrowed out of the shared arenas.
-#[derive(Debug, Clone, Copy)]
-struct VertexLogRef<'a> {
-    /// `(version, suffix)` pairs in ascending version order, where `suffix` is
-    /// the net degree change contributed by this entry and everything after
-    /// it.  The vertex's degree at version `t` is its live degree minus the
-    /// suffix of the first entry with `version >= t`.
-    degree_suffix: &'a [(u32, i32)],
-    /// Override intervals sorted by `(neighbor, lo)`, pruned to those whose
-    /// historic state differs from the live sample.
-    overrides: &'a [OverrideInterval],
-}
-
-/// Words in the touched-vertex prefilter (8192 bits = 1 KiB, hot in L1).
-const FILTER_WORDS: usize = 128;
-
-/// Per-vertex log of the adjacency changes applied during one mini-batch.
-///
-/// Besides the per-vertex query indexes, the log keeps the batch's edge-level
-/// operations in application order ([`replay_onto`](Self::replay_onto)): the
-/// pipelined PARABACUS engine uses it to bring a stale double-buffered sample
-/// copy up to date in O(batch) instead of re-cloning the whole sample.
-#[derive(Debug, Clone)]
+/// The sample mutations of one mini-batch, in application order and grouped
+/// by batch position.
+#[derive(Debug, Clone, Default)]
 pub struct VersionedDeltas {
-    /// `(vertex, change)` pairs: appended in recording (version) order, then
-    /// grouped by vertex in place when the log is sealed.
-    recorded: Vec<(VertexRef, DeltaEntry)>,
-    /// Edge-level `(edge, added)` operations in the exact order they were
-    /// applied to the live sample.
+    /// `(edge, added)` mutations in the exact order phase 1 applied them.
     ops: Vec<(Edge, bool)>,
-    recorded_ops: usize,
-    sealed: bool,
-    /// Bloom-style one-hash prefilter over the touched vertices, built by
-    /// [`seal`](Self::seal).  The per-edge counting kernels ask "was this
-    /// vertex touched by the batch?" once per resolved vertex; for the
-    /// common *no*, one L1-resident bit test replaces a hash map probe.
-    /// False positives merely fall through to the map.
-    touched_filter: Box<[u64; FILTER_WORDS]>,
-    /// Touched vertex → where its sealed indexes live in the arenas below.
-    index: FxHashMap<VertexRef, VertexRanges>,
-    /// Shared degree-suffix arena (see [`VertexLogRef::degree_suffix`]).
-    degree_suffix: Vec<(u32, i32)>,
-    /// Shared override-interval arena (see [`VertexLogRef::overrides`]).
-    overrides: Vec<OverrideInterval>,
-}
-
-impl Default for VersionedDeltas {
-    // A log is constructed once per spare-pool miss (the first
-    // `pipeline_depth` batches); the coordinator recycles it through
-    // `spare_deltas` forever after, and `clear()` keeps every capacity.
-    fn default() -> Self {
-        VersionedDeltas {
-            recorded: Vec::new(), // lint:allow(hot-path-alloc): empty on construction; capacity accretes once and survives clear()
-            ops: Vec::new(), // lint:allow(hot-path-alloc): empty on construction; capacity accretes once and survives clear()
-            recorded_ops: 0,
-            sealed: false,
-            touched_filter: Box::new([0u64; FILTER_WORDS]), // lint:allow(hot-path-alloc): fixed 1 KiB prefilter, allocated once per recycled log
-            index: FxHashMap::default(), // lint:allow(hot-path-alloc): empty on construction; capacity accretes once and survives clear()
-            degree_suffix: Vec::new(), // lint:allow(hot-path-alloc): empty on construction; arena capacity survives clear()
-            overrides: Vec::new(), // lint:allow(hot-path-alloc): empty on construction; arena capacity survives clear()
-        }
-    }
-}
-
-/// Word index and mask of a vertex's prefilter bit.
-#[inline]
-fn filter_slot(v: VertexRef) -> (usize, u64) {
-    let side_bit = u64::from(matches!(v.side, abacus_graph::Side::Right));
-    let x = (u64::from(v.id) << 1) | side_bit;
-    let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let bit = (h >> 51) as usize; // top 13 bits → 8192 positions
-    (bit >> 6, 1u64 << (bit & 63))
-}
-
-/// Total order over vertices for the seal-time grouping sort.
-#[inline]
-fn group_key(v: VertexRef) -> u64 {
-    (u64::from(v.id) << 1) | u64::from(matches!(v.side, abacus_graph::Side::Right))
+    /// `starts[i]` is the index in `ops` of batch position `i`'s first
+    /// mutation (equal to the next position's when `i` mutated nothing).
+    starts: Vec<usize>,
 }
 
 impl VersionedDeltas {
-    /// Creates an empty delta log.
+    /// Creates an empty log.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of edge-level operations recorded (each touches two vertices).
+    /// Number of edge-level mutations recorded.
     #[must_use]
     pub fn recorded_ops(&self) -> usize {
-        self.recorded_ops
+        self.ops.len()
     }
 
-    /// The batch's edge-level `(edge, added)` operations in application
-    /// order — the same sequence [`replay_onto`](Self::replay_onto) applies
-    /// to a stale sample buffer.  The pipelined engine also replays it onto
-    /// the frozen CSR snapshot, which keeps snapshot maintenance O(batch)
-    /// instead of O(sample).
-    pub fn ops(&self) -> impl Iterator<Item = (Edge, bool)> + '_ {
-        self.ops.iter().copied()
-    }
-
-    /// Whether [`seal`](Self::seal) has been called since the last mutation.
+    /// Number of batch positions recorded.
     #[must_use]
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
+    pub fn positions(&self) -> usize {
+        self.starts.len()
     }
 
     /// Clears the log for the next mini-batch, keeping allocations.
     pub fn clear(&mut self) {
-        // Every container holds Copy elements (the map's values are range
-        // descriptors, not vectors), so clearing drops nothing and the next
-        // batch records and seals into the retained capacity.
-        self.recorded.clear();
         self.ops.clear();
-        self.index.clear();
-        self.degree_suffix.clear();
-        self.overrides.clear();
-        self.recorded_ops = 0;
-        self.sealed = false;
+        self.starts.clear();
     }
 
-    /// Re-applies this batch's sample mutations, in order, to `sample`.
-    ///
-    /// `sample` must be in exactly the state the live sample had *before*
-    /// this batch (the pipelined engine guarantees that by replaying batches
-    /// in dispatch order onto the recycled buffer).  Afterwards `sample` is
-    /// semantically — and, because [`SampleGraph`]'s mutations are
-    /// deterministic in the operation sequence, structurally — identical to
-    /// the live sample after this batch, so subsequent Random Pairing
-    /// decisions (including random-victim eviction) are bit-for-bit the same
-    /// as if they had run on the original buffer.
-    pub fn replay_onto(&self, sample: &mut SampleGraph) {
-        use abacus_sampling::SampleStore;
-        for &(edge, added) in &self.ops {
-            if added {
-                sample.store_insert(edge);
-            } else {
-                let removed = sample.store_remove(&edge);
-                debug_assert!(removed, "replay removed an edge that was not present");
-            }
-        }
+    /// Opens the next batch position: every mutation recorded until the
+    /// next call belongs to it.
+    fn open_position(&mut self) {
+        self.starts.push(self.ops.len());
     }
 
-    /// Records that `edge` was added to / removed from the sample while
-    /// processing batch position `version`.
-    ///
-    /// # Panics
-    /// Panics if the log has already been sealed for querying.
-    pub fn record(&mut self, version: u32, added: bool, edge: Edge) {
-        assert!(!self.sealed, "cannot record into a sealed delta log");
-        self.recorded_ops += 1;
+    /// Records one mutation of the open position.
+    fn record(&mut self, added: bool, edge: Edge) {
+        debug_assert!(
+            !self.starts.is_empty(),
+            "mutation recorded before a position was opened"
+        );
         self.ops.push((edge, added));
-        self.recorded.push((
-            edge.left_ref(),
-            DeltaEntry {
-                neighbor: edge.right,
-                version,
-                added,
-            },
-        ));
-        self.recorded.push((
-            edge.right_ref(),
-            DeltaEntry {
-                neighbor: edge.left,
-                version,
-                added,
-            },
-        ));
     }
 
-    /// Freezes the log and builds the per-vertex query indexes against the
-    /// final (post-batch) state of the sample.
+    /// Index in `ops` where batch position `position` starts (the log's end
+    /// for `position >= positions()`).
+    fn offset(&self, position: usize) -> usize {
+        self.starts.get(position).copied().unwrap_or(self.ops.len())
+    }
+
+    /// Applies the mutations of batch positions `positions` to `replica`, in
+    /// the order phase 1 applied them.
     ///
-    /// Must be called once after the sequential recording pass and before any
-    /// [`VersionView`] queries the log.  `live` must be the sample the deltas
-    /// were recorded against, *after* all batch updates have been applied —
-    /// exactly the state PARABACUS keeps between batches.
-    pub fn seal(&mut self, live: &SampleGraph) {
-        self.touched_filter.fill(0);
-        self.index.clear();
-        self.degree_suffix.clear();
-        self.overrides.clear();
-        // A *stable* sort groups each vertex's entries contiguously while
-        // keeping them in recording (version) order within the group —
-        // version order is what the index builders below rely on.
-        self.recorded.sort_by_key(|&(v, _)| group_key(v));
-        let mut i = 0;
-        while i < self.recorded.len() {
-            let vertex = self.recorded[i].0;
-            let start = i;
-            while i < self.recorded.len() && self.recorded[i].0 == vertex {
-                i += 1;
-            }
-            let ranges = self.build_indexes(vertex, start..i, live);
-            self.index.insert(vertex, ranges);
-            let (word, mask) = filter_slot(vertex);
-            self.touched_filter[word] |= mask;
-        }
-        self.sealed = true;
-    }
-
-    /// Builds one vertex's query indexes into the shared arenas from its
-    /// contiguous `group` of recorded entries (in version order) and returns
-    /// where they landed.
-    fn build_indexes(
-        &mut self,
-        vertex: VertexRef,
-        group: Range<usize>,
-        live: &SampleGraph,
-    ) -> VertexRanges {
-        // Degree suffix sums from the entries in recorded (version) order.
-        let ds_start = self.degree_suffix.len();
-        let mut suffix = 0i32;
-        for &(_, entry) in self.recorded[group.clone()].iter().rev() {
-            suffix += if entry.added { 1 } else { -1 };
-            self.degree_suffix.push((entry.version, suffix));
-        }
-        self.degree_suffix[ds_start..].reverse();
-
-        // Override intervals per pair.  The group is in version order, so a
-        // stable sort by neighbor keeps each pair's changes version-sorted.
-        self.recorded[group.clone()].sort_by_key(|&(_, e)| e.neighbor);
-        let ov_start = self.overrides.len();
-        let mut i = group.start;
-        while i < group.end {
-            let neighbor = self.recorded[i].1.neighbor;
-            let live_present = live.view_contains(vertex, neighbor);
-            let mut lo = 0u32;
-            while i < group.end && self.recorded[i].1.neighbor == neighbor {
-                let entry = self.recorded[i].1;
-                let state_before = !entry.added;
-                if state_before != live_present {
-                    self.overrides.push(OverrideInterval {
-                        neighbor,
-                        lo,
-                        hi: entry.version,
-                        present: state_before,
-                    });
-                }
-                lo = entry.version + 1;
-                i += 1;
+    /// `replica` must hold the version `S_start` the coordinator's sample had
+    /// before position `positions.start`; afterwards it holds `S_end`.
+    pub fn roll(&self, replica: &mut SampleGraph, positions: Range<usize>) {
+        let end = self.offset(positions.end);
+        let start = self.offset(positions.start).min(end);
+        for &(edge, added) in &self.ops[start..end] {
+            if added {
+                replica.store_insert(edge);
+            } else {
+                let removed = replica.store_remove(&edge);
+                debug_assert!(removed, "roll removed an edge the replica did not hold");
             }
         }
-        VertexRanges {
-            ds_start: ds_start as u32,
-            ds_end: self.degree_suffix.len() as u32,
-            ov_start: ov_start as u32,
-            ov_end: self.overrides.len() as u32,
-        }
-    }
-
-    fn log(&self, v: VertexRef) -> Option<VertexLogRef<'_>> {
-        debug_assert!(self.sealed, "delta log queried before seal()");
-        let (word, mask) = filter_slot(v);
-        if self.touched_filter[word] & mask == 0 {
-            return None;
-        }
-        let r = self.index.get(&v)?;
-        Some(VertexLogRef {
-            degree_suffix: &self.degree_suffix[r.ds_start as usize..r.ds_end as usize],
-            overrides: &self.overrides[r.ov_start as usize..r.ov_end as usize],
-        })
     }
 }
 
-impl<'a> VertexLogRef<'a> {
-    /// The vertex's degree at version `t`, given its live degree: the live
-    /// degree minus the net change applied at `t` or later (one binary search
-    /// into the version-ordered suffix sums).
-    #[inline]
-    fn degree_at(&self, live: usize, t: u32) -> usize {
-        let live = live as i64;
-        let idx = self
-            .degree_suffix
-            .partition_point(|&(version, _)| version < t);
-        let future = self.degree_suffix.get(idx).map_or(0, |&(_, suffix)| suffix);
-        // lint:allow(panic-policy): a negative versioned degree means the delta log disagrees with the sample — corrupted pipeline state, not an input condition
-        usize::try_from(live - i64::from(future)).expect("versioned degree cannot be negative")
-    }
-
-    /// The vertex's overrides as seen from version `t`.
-    #[inline]
-    fn at(&self, t: u32) -> Overrides<'a> {
-        Overrides {
-            intervals: self.overrides,
-            version: t,
-        }
-    }
-}
-
-/// The override intervals of one touched vertex as seen from one version,
-/// read in place from the sealed arena.
-#[derive(Debug, Clone, Copy)]
-struct Overrides<'a> {
-    /// The vertex's intervals, sorted by `(neighbor, lo)`.
-    intervals: &'a [OverrideInterval],
-    version: u32,
-}
-
-impl Overrides<'_> {
-    /// Historic presence of `neighbor` at this version, if it differs from
-    /// the live sample (`None` means the live sample is authoritative).
-    #[inline]
-    fn lookup(&self, neighbor: u32) -> Option<bool> {
-        let start = self.intervals.partition_point(|o| o.neighbor < neighbor);
-        self.intervals[start..]
-            .iter()
-            .take_while(|o| o.neighbor == neighbor)
-            .find(|o| o.covers(self.version))
-            .map(|o| o.present)
-    }
-
-    /// Whether any pair's state at this version differs from the live
-    /// sample.
-    #[inline]
-    fn any(&self) -> bool {
-        self.intervals.iter().any(|o| o.covers(self.version))
-    }
-}
-
-/// A [`SampleStore`] wrapper that applies updates to the live sample while
-/// recording every adjacency change into a [`VersionedDeltas`] log.
+/// A [`SampleStore`] wrapper that applies updates to the coordinator's
+/// sample while recording every mutation into a [`VersionedDeltas`] log.
 ///
 /// The state transitions (and the RNG consumption) are bit-identical to
 /// driving the [`SampleGraph`] directly, which is what makes PARABACUS
@@ -440,17 +118,14 @@ impl Overrides<'_> {
 pub struct RecordingSample<'a> {
     sample: &'a mut SampleGraph,
     deltas: &'a mut VersionedDeltas,
-    version: u32,
 }
 
 impl<'a> RecordingSample<'a> {
-    /// Wraps the live sample for the update of batch position `version`.
-    pub fn new(sample: &'a mut SampleGraph, deltas: &'a mut VersionedDeltas, version: u32) -> Self {
-        RecordingSample {
-            sample,
-            deltas,
-            version,
-        }
+    /// Wraps the sample for the update of the next batch position, which it
+    /// opens in `deltas`.
+    pub fn new(sample: &'a mut SampleGraph, deltas: &'a mut VersionedDeltas) -> Self {
+        deltas.open_position();
+        RecordingSample { sample, deltas }
     }
 }
 
@@ -464,14 +139,14 @@ impl SampleStore<Edge> for RecordingSample<'_> {
     }
 
     fn store_insert(&mut self, item: Edge) {
-        self.deltas.record(self.version, true, item);
+        self.deltas.record(true, item);
         self.sample.store_insert(item);
     }
 
     fn store_remove(&mut self, item: &Edge) -> bool {
         let removed = self.sample.store_remove(item);
         if removed {
-            self.deltas.record(self.version, false, *item);
+            self.deltas.record(false, *item);
         }
         removed
     }
@@ -480,9 +155,9 @@ impl SampleStore<Edge> for RecordingSample<'_> {
         // Mirrors SampleGraph::store_replace_random exactly: one RNG draw to
         // pick the victim, then remove + insert.
         let victim = self.sample.random_edge(rng);
-        self.deltas.record(self.version, false, victim);
+        self.deltas.record(false, victim);
         self.sample.store_remove(&victim);
-        self.deltas.record(self.version, true, item);
+        self.deltas.record(true, item);
         self.sample.store_insert(item);
     }
 
@@ -492,250 +167,10 @@ impl SampleStore<Edge> for RecordingSample<'_> {
     }
 }
 
-/// One vertex resolved at a view's version: its live neighborhood looked up
-/// once, its degree at that version, and — only when at least one applies —
-/// the overrides that make its historic neighborhood differ from the live
-/// one.
-#[derive(Debug, Clone, Copy)]
-struct Operand<'a> {
-    /// The live neighbor set in the sample (`None`: absent from it).
-    set: Option<&'a AdjacencySet>,
-    /// The live sorted row, when counting runs over the CSR snapshot.
-    row: Option<&'a [u32]>,
-    /// Degree at the view's version.
-    degree: usize,
-    overrides: Option<Overrides<'a>>,
-}
-
-impl Operand<'_> {
-    /// Historic membership of `x`.
-    #[inline]
-    fn contains(&self, x: u32) -> bool {
-        match self.overrides.and_then(|o| o.lookup(x)) {
-            Some(present) => present,
-            None => self.set.is_some_and(|set| set.contains(x)),
-        }
-    }
-
-    /// Calls `f` for every historic neighbor until `f` breaks.
-    #[inline]
-    fn try_for_each_neighbor(&self, mut f: impl FnMut(u32) -> ControlFlow<()>) -> ControlFlow<()> {
-        let Some(overrides) = self.overrides else {
-            return match (self.row, self.set) {
-                (Some(row), _) => row.iter().copied().try_for_each(f),
-                (None, Some(set)) => set.iter().try_for_each(f),
-                (None, None) => ControlFlow::Continue(()),
-            };
-        };
-        // Live neighbors, minus those absent at this version (an override of
-        // a live pair always records its absence).
-        let mut live = |n: u32| {
-            if overrides.lookup(n).is_some() {
-                ControlFlow::Continue(())
-            } else {
-                f(n)
-            }
-        };
-        match (self.row, self.set) {
-            (Some(row), _) => row.iter().copied().try_for_each(&mut live)?,
-            (None, Some(set)) => set.iter().try_for_each(&mut live)?,
-            (None, None) => {}
-        }
-        // Pairs present at this version but absent from the live sample
-        // (pruning guarantees these never overlap the loop above).
-        overrides
-            .intervals
-            .iter()
-            .filter(|o| o.present && o.covers(overrides.version))
-            .try_for_each(|o| f(o.neighbor))
-    }
-
-    /// Calls `f` for every historic neighbor.
-    #[inline]
-    fn for_each_neighbor(&self, mut f: impl FnMut(u32)) {
-        let _ = self.try_for_each_neighbor(|n| {
-            f(n);
-            ControlFlow::Continue(())
-        });
-    }
-}
-
-/// A read-only view of the sample *as it was* at a given version of the
-/// current mini-batch.
-///
-/// The backing [`VersionedDeltas`] must have been [sealed](VersionedDeltas::seal)
-/// against the same live sample (and, when counting runs over the frozen
-/// snapshot, the snapshot must mirror exactly that sealed state).
-///
-/// Every query resolves each vertex it touches once — one delta-log lookup,
-/// one sample lookup, and one row lookup when counting over the CSR
-/// snapshot — and reads override intervals in place, so a view holds no
-/// buffers and building one per element is free.
-#[derive(Debug, Clone, Copy)]
-pub struct VersionView<'a> {
-    sample: &'a SampleGraph,
-    /// The frozen CSR mirror of `sample`, when counting runs over it: its
-    /// sorted rows serve iteration and the sorted intersection kernels, the
-    /// sample's hash sets serve point probes.
-    snapshot: Option<&'a CsrSnapshot>,
-    deltas: &'a VersionedDeltas,
-    version: u32,
-}
-
-impl<'a> VersionView<'a> {
-    /// Creates the view of version `version` (the state the `version`-th edge
-    /// of the batch observes, i.e. before its own update).
-    #[must_use]
-    pub fn new(sample: &'a SampleGraph, deltas: &'a VersionedDeltas, version: u32) -> Self {
-        VersionView {
-            sample,
-            snapshot: None,
-            deltas,
-            version,
-        }
-    }
-
-    /// Creates the view of version `version` over the frozen CSR snapshot of
-    /// the sealed post-batch sample; `sample` must be that same sealed state
-    /// (the view uses its hash sets for point probes).
-    #[must_use]
-    pub fn over_snapshot(
-        snapshot: &'a CsrSnapshot,
-        sample: &'a SampleGraph,
-        deltas: &'a VersionedDeltas,
-        version: u32,
-    ) -> Self {
-        VersionView {
-            sample,
-            snapshot: Some(snapshot),
-            deltas,
-            version,
-        }
-    }
-
-    /// Resolves `v` at this view's version.
-    #[inline]
-    fn resolve(&self, v: VertexRef) -> Operand<'a> {
-        let set = self.sample.neighbors(v);
-        let live = set.map_or(0, AdjacencySet::len);
-        let (degree, overrides) = match self.deltas.log(v) {
-            Some(log) => {
-                let overrides = log.at(self.version);
-                (
-                    log.degree_at(live, self.version),
-                    overrides.any().then_some(overrides),
-                )
-            }
-            None => (live, None),
-        };
-        Operand {
-            set,
-            row: self.snapshot.map(|snapshot| snapshot.row(v)),
-            degree,
-            overrides,
-        }
-    }
-
-    /// `|N(a) ∩ N(b) \ {exclude}|` at this version, with probe-model
-    /// comparisons.
-    fn intersect(&self, a: &Operand<'_>, b: &Operand<'_>, exclude: u32) -> IntersectionResult {
-        if a.overrides.is_none() && b.overrides.is_none() {
-            // Both historic neighborhoods equal the live ones, so the live
-            // kernels apply.  They iterate the smaller operand (ties: the
-            // first) and report probe-model comparisons, exactly like the
-            // loop below.
-            return match (a.row, b.row) {
-                (Some(ra), Some(rb)) => {
-                    hybrid_intersection_excluding(ra, rb, exclude, |b_is_large| {
-                        if b_is_large {
-                            b.set
-                        } else {
-                            a.set
-                        }
-                    })
-                }
-                _ => match (a.set, b.set) {
-                    (Some(sa), Some(sb)) => intersection_count_excluding(sa, sb, exclude),
-                    _ => IntersectionResult::default(),
-                },
-            };
-        }
-        // Iterate the smaller historic neighborhood, probe the other.
-        let (iterate, probe) = if a.degree <= b.degree { (a, b) } else { (b, a) };
-        let mut result = IntersectionResult::default();
-        iterate.for_each_neighbor(|x| {
-            if x != exclude {
-                result.comparisons += 1;
-                result.count += u64::from(probe.contains(x));
-            }
-        });
-        result
-    }
-}
-
-impl NeighborhoodView for VersionView<'_> {
-    fn view_degree(&self, v: VertexRef) -> usize {
-        let live = self.sample.degree(v);
-        self.deltas
-            .log(v)
-            .map_or(live, |log| log.degree_at(live, self.version))
-    }
-
-    fn view_contains(&self, v: VertexRef, neighbor: u32) -> bool {
-        self.deltas
-            .log(v)
-            .and_then(|log| log.at(self.version).lookup(neighbor))
-            .unwrap_or_else(|| self.sample.view_contains(v, neighbor))
-    }
-
-    fn view_for_each_neighbor(&self, v: VertexRef, f: &mut dyn FnMut(u32)) {
-        self.resolve(v).for_each_neighbor(f);
-    }
-
-    fn view_neighbor_degree_sum_capped(&self, v: VertexRef, cap: usize) -> usize {
-        let opposite = v.side.opposite();
-        let mut sum = 0usize;
-        let _ = self.resolve(v).try_for_each_neighbor(|x| {
-            if sum >= cap {
-                return ControlFlow::Break(());
-            }
-            sum += self.view_degree(VertexRef::new(opposite, x));
-            ControlFlow::Continue(())
-        });
-        sum
-    }
-
-    fn view_intersection_excluding(
-        &self,
-        a: VertexRef,
-        b: VertexRef,
-        exclude: u32,
-    ) -> IntersectionResult {
-        self.intersect(&self.resolve(a), &self.resolve(b), exclude)
-    }
-
-    /// Resolves `other` once per edge and each wedge vertex `w` once.
-    fn view_count_via_anchor(&self, anchor: VertexRef, other: VertexRef) -> PerEdgeCount {
-        let mut result = PerEdgeCount::default();
-        let other_operand = self.resolve(other);
-        if other_operand.degree == 0 {
-            return result;
-        }
-        let wedge_side = anchor.side.opposite();
-        self.resolve(anchor).for_each_neighbor(|w| {
-            if w != other.id {
-                let w = self.resolve(VertexRef::new(wedge_side, w));
-                result.add_intersection(self.intersect(&w, &other_operand, anchor.id));
-            }
-        });
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abacus_graph::{cheapest_side, count_butterflies_with_edge, Side};
+    use abacus_graph::{count_butterflies_with_edge, NeighborhoodView, Side, VertexRef};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -745,22 +180,18 @@ mod tests {
         Edge::new(l, r)
     }
 
-    /// Collects the neighbor set a view reports for a vertex.
-    fn view_neighbors(view: &VersionView<'_>, v: VertexRef) -> BTreeSet<u32> {
+    /// Collects the neighbor set a sample reports for a vertex.
+    fn neighbors(sample: &SampleGraph, v: VertexRef) -> BTreeSet<u32> {
         let mut out = BTreeSet::new();
-        view.view_for_each_neighbor(v, &mut |n| {
+        sample.view_for_each_neighbor(v, &mut |n| {
             assert!(out.insert(n), "duplicate neighbor {n} reported for {v}");
         });
         out
     }
 
-    /// `S(v)` summed in full over a reference sample.
-    fn full_sum(sample: &SampleGraph, v: VertexRef) -> usize {
-        let mut sum = 0;
-        sample.view_for_each_neighbor(v, &mut |x| {
-            sum += sample.view_degree(VertexRef::new(v.side.opposite(), x));
-        });
-        sum
+    /// The sample's edges as a set.
+    fn edge_set(sample: &SampleGraph) -> BTreeSet<Edge> {
+        sample.edges().iter().copied().collect()
     }
 
     #[test]
@@ -768,64 +199,44 @@ mod tests {
         let mut sample = SampleGraph::new();
         sample.store_insert(edge(1, 10));
         sample.store_insert(edge(2, 10));
+        let mut replica = sample.clone();
 
         let mut deltas = VersionedDeltas::new();
         // Batch: position 0 inserts (3,10); position 1 removes (1,10).
-        {
-            let mut rec = RecordingSample::new(&mut sample, &mut deltas, 0);
-            rec.store_insert(edge(3, 10));
-        }
-        {
-            let mut rec = RecordingSample::new(&mut sample, &mut deltas, 1);
-            assert!(rec.store_remove(&edge(1, 10)));
-        }
-        deltas.seal(&sample);
-        assert!(deltas.is_sealed());
-
-        let v0 = VersionView::new(&sample, &deltas, 0);
-        assert_eq!(
-            view_neighbors(&v0, VertexRef::right(10)),
-            BTreeSet::from([1, 2])
-        );
-        assert!(v0.view_contains(VertexRef::right(10), 1));
-        assert!(!v0.view_contains(VertexRef::right(10), 3));
-        assert_eq!(v0.view_degree(VertexRef::right(10)), 2);
-
-        let v1 = VersionView::new(&sample, &deltas, 1);
-        assert_eq!(
-            view_neighbors(&v1, VertexRef::right(10)),
-            BTreeSet::from([1, 2, 3])
-        );
-
-        let v2 = VersionView::new(&sample, &deltas, 2);
-        assert_eq!(
-            view_neighbors(&v2, VertexRef::right(10)),
-            BTreeSet::from([2, 3])
-        );
+        RecordingSample::new(&mut sample, &mut deltas).store_insert(edge(3, 10));
+        assert!(RecordingSample::new(&mut sample, &mut deltas).store_remove(&edge(1, 10)));
+        assert_eq!(deltas.positions(), 2);
         assert_eq!(deltas.recorded_ops(), 2);
+
+        let hub = VertexRef::right(10);
+        assert_eq!(neighbors(&replica, hub), BTreeSet::from([1, 2]));
+        assert!(replica.view_contains(hub, 1));
+        assert!(!replica.view_contains(hub, 3));
+        assert_eq!(replica.view_degree(hub), 2);
+
+        deltas.roll(&mut replica, 0..1);
+        assert_eq!(neighbors(&replica, hub), BTreeSet::from([1, 2, 3]));
+
+        deltas.roll(&mut replica, 1..2);
+        assert_eq!(neighbors(&replica, hub), BTreeSet::from([2, 3]));
+        assert_eq!(edge_set(&replica), edge_set(&sample));
     }
 
     #[test]
     fn reinsertion_within_a_batch_is_reconstructed() {
         let mut sample = SampleGraph::new();
         sample.store_insert(edge(1, 10));
+        let mut replica = sample.clone();
         let mut deltas = VersionedDeltas::new();
         // Position 0 removes (1,10); position 1 re-inserts it.
-        {
-            let mut rec = RecordingSample::new(&mut sample, &mut deltas, 0);
-            rec.store_remove(&edge(1, 10));
-        }
-        {
-            let mut rec = RecordingSample::new(&mut sample, &mut deltas, 1);
-            rec.store_insert(edge(1, 10));
-        }
-        deltas.seal(&sample);
-        let v0 = VersionView::new(&sample, &deltas, 0);
-        assert!(v0.view_contains(VertexRef::left(1), 10));
-        let v1 = VersionView::new(&sample, &deltas, 1);
-        assert!(!v1.view_contains(VertexRef::left(1), 10));
-        let v2 = VersionView::new(&sample, &deltas, 2);
-        assert!(v2.view_contains(VertexRef::left(1), 10));
+        RecordingSample::new(&mut sample, &mut deltas).store_remove(&edge(1, 10));
+        RecordingSample::new(&mut sample, &mut deltas).store_insert(edge(1, 10));
+
+        assert!(replica.view_contains(VertexRef::left(1), 10));
+        deltas.roll(&mut replica, 0..1);
+        assert!(!replica.view_contains(VertexRef::left(1), 10));
+        deltas.roll(&mut replica, 1..2);
+        assert!(replica.view_contains(VertexRef::left(1), 10));
     }
 
     #[test]
@@ -834,15 +245,12 @@ mod tests {
         for i in 0..6u32 {
             sample.store_insert(edge(i, i + 10));
         }
-        let before = sample.clone();
+        let mut replica = sample.clone();
 
         let mut deltas = VersionedDeltas::new();
         let mut rng = StdRng::seed_from_u64(99);
-        for (version, &(op, l, r)) in [(0u8, 7u32, 20u32), (1, 0, 10), (2, 8, 21), (0, 9, 22)]
-            .iter()
-            .enumerate()
-        {
-            let mut rec = RecordingSample::new(&mut sample, &mut deltas, version as u32);
+        for &(op, l, r) in &[(0u8, 7u32, 20u32), (1, 0, 10), (2, 8, 21), (0, 9, 22)] {
+            let mut rec = RecordingSample::new(&mut sample, &mut deltas);
             match op {
                 0 => rec.store_insert(edge(l, r)),
                 1 => {
@@ -852,26 +260,26 @@ mod tests {
             }
         }
 
-        let mut replica = before;
-        deltas.replay_onto(&mut replica);
+        deltas.roll(&mut replica, 0..deltas.positions());
         // Structural equality matters: the dense edge vector must have the
         // same slot order so later random-victim draws pick the same edges.
         assert_eq!(replica.edges(), sample.edges());
         assert_eq!(replica.len(), sample.len());
     }
 
+    /// `clear` reopens the log for the next batch: positions restart at 0.
     #[test]
     fn clear_resets_the_log_and_unseals_it() {
+        let mut sample = SampleGraph::new();
         let mut deltas = VersionedDeltas::new();
-        deltas.record(0, true, edge(1, 2));
-        assert_eq!(deltas.recorded_ops(), 1);
-        deltas.seal(&SampleGraph::new());
+        RecordingSample::new(&mut sample, &mut deltas).store_insert(edge(1, 2));
+        assert_eq!((deltas.positions(), deltas.recorded_ops()), (1, 1));
         deltas.clear();
-        assert_eq!(deltas.recorded_ops(), 0);
-        assert!(!deltas.is_sealed());
-        // Recording after clear() is allowed again.
-        deltas.record(0, true, edge(3, 4));
-        assert_eq!(deltas.recorded_ops(), 1);
+        assert_eq!((deltas.positions(), deltas.recorded_ops()), (0, 0));
+        // Recording after clear() starts a new batch at position 0.
+        RecordingSample::new(&mut sample, &mut deltas).store_insert(edge(3, 4));
+        assert_eq!((deltas.positions(), deltas.recorded_ops()), (1, 1));
+        assert_eq!(deltas.ops, [(edge(3, 4), true)]);
     }
 
     #[test]
@@ -879,44 +287,27 @@ mod tests {
         let mut sample = SampleGraph::new();
         let mut deltas = VersionedDeltas::new();
         for version in 0..64u32 {
-            let mut rec = RecordingSample::new(&mut sample, &mut deltas, version);
-            rec.store_insert(edge(version, 10 + version % 5));
+            RecordingSample::new(&mut sample, &mut deltas)
+                .store_insert(edge(version, 10 + version % 5));
         }
-        deltas.seal(&sample);
-        let caps = (
-            deltas.recorded.capacity(),
-            deltas.ops.capacity(),
-            deltas.degree_suffix.capacity(),
-            deltas.overrides.capacity(),
-        );
-        assert!(caps.0 > 0 && caps.2 > 0);
+        let caps = (deltas.ops.capacity(), deltas.starts.capacity());
+        assert!(caps.0 > 0 && caps.1 > 0);
         deltas.clear();
         assert_eq!(
-            (
-                deltas.recorded.capacity(),
-                deltas.ops.capacity(),
-                deltas.degree_suffix.capacity(),
-                deltas.overrides.capacity(),
-            ),
+            (deltas.ops.capacity(), deltas.starts.capacity()),
             caps,
-            "clear() must keep the arenas for the next batch"
+            "clear() must keep the log's capacity for the next batch"
         );
-        assert!(deltas.recorded.is_empty() && deltas.index.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "sealed delta log")]
-    fn recording_into_a_sealed_log_panics() {
-        let mut deltas = VersionedDeltas::new();
-        deltas.seal(&SampleGraph::new());
-        deltas.record(0, true, edge(1, 2));
+        assert!(deltas.ops.is_empty() && deltas.starts.is_empty());
     }
 
     #[test]
     fn hub_vertex_with_many_changes_is_reconstructed() {
         // A single right-side hub accumulates many insertions and deletions
-        // across the batch; every intermediate version must be recoverable.
+        // across the batch; the rolled replica must hold every intermediate
+        // version.
         let mut sample = SampleGraph::new();
+        let mut replica = sample.clone();
         let mut deltas = VersionedDeltas::new();
         let mut expected: Vec<BTreeSet<u32>> = Vec::new();
         let mut live: BTreeSet<u32> = BTreeSet::new();
@@ -924,7 +315,7 @@ mod tests {
             expected.push(live.clone());
             let l = version % 37;
             let e = edge(l, 10);
-            let mut rec = RecordingSample::new(&mut sample, &mut deltas, version);
+            let mut rec = RecordingSample::new(&mut sample, &mut deltas);
             if live.contains(&l) {
                 assert!(rec.store_remove(&e));
                 live.remove(&l);
@@ -933,126 +324,36 @@ mod tests {
                 live.insert(l);
             }
         }
-        deltas.seal(&sample);
         for (version, want) in expected.iter().enumerate() {
-            let view = VersionView::new(&sample, &deltas, version as u32);
-            assert_eq!(&view_neighbors(&view, VertexRef::right(10)), want);
-            assert_eq!(view.view_degree(VertexRef::right(10)), want.len());
+            assert_eq!(&neighbors(&replica, VertexRef::right(10)), want);
+            assert_eq!(replica.view_degree(VertexRef::right(10)), want.len());
+            deltas.roll(&mut replica, version..version + 1);
         }
+        assert_eq!(neighbors(&replica, VertexRef::right(10)), live);
     }
 
     #[test]
     fn ops_iterator_reports_the_recorded_sequence() {
         let mut sample = SampleGraph::new();
         let mut deltas = VersionedDeltas::new();
-        {
-            let mut rec = RecordingSample::new(&mut sample, &mut deltas, 0);
-            rec.store_insert(edge(1, 10));
-        }
-        {
-            let mut rec = RecordingSample::new(&mut sample, &mut deltas, 1);
-            assert!(rec.store_remove(&edge(1, 10)));
-        }
-        let ops: Vec<(Edge, bool)> = deltas.ops().collect();
-        assert_eq!(ops, vec![(edge(1, 10), true), (edge(1, 10), false)]);
+        RecordingSample::new(&mut sample, &mut deltas).store_insert(edge(1, 10));
+        // A position that mutates nothing still counts as a position.
+        let _ = RecordingSample::new(&mut sample, &mut deltas);
+        assert!(RecordingSample::new(&mut sample, &mut deltas).store_remove(&edge(1, 10)));
+        assert_eq!(deltas.ops, [(edge(1, 10), true), (edge(1, 10), false)]);
+        assert_eq!(deltas.positions(), 3);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// A `VersionView` over the frozen CSR snapshot of the sealed sample
-        /// reports exactly what the hash-backed view reports — adjacency,
-        /// degrees, degree sums, membership, and intersections and per-edge
-        /// counts with identical probe-model comparisons — at every version
-        /// of a random batch.
+        /// Reference check: push a random batch of sample mutations through
+        /// the recording wrapper, cloning the sample before each position.
+        /// Rolling a pre-batch clone forward position by position must
+        /// reproduce each clone's edge set, adjacency and per-edge counts
+        /// (with identical probe-model comparisons).
         #[test]
-        fn snapshot_backed_views_match_hash_backed_views(
-            ops in proptest::collection::vec((0u8..3, 0u32..6, 0u32..6), 1..40),
-            seed in any::<u64>(),
-        ) {
-            use abacus_graph::csr::CsrSnapshot;
-
-            let mut sample = SampleGraph::new();
-            for i in 0..4u32 {
-                sample.store_insert(edge(i, i + 10));
-            }
-            let mut deltas = VersionedDeltas::new();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut versions = 0u32;
-            for (version, (op, l, r)) in (0u32..).zip(ops) {
-                versions = version + 1;
-                let e = edge(l, r + 10);
-                let mut rec = RecordingSample::new(&mut sample, &mut deltas, version);
-                match op {
-                    0 => {
-                        if !rec.store_contains(&e) {
-                            rec.store_insert(e);
-                        }
-                    }
-                    1 => {
-                        let _ = rec.store_remove(&e);
-                    }
-                    _ => {
-                        if rec.store_len() > 0 && !rec.store_contains(&e) {
-                            rec.store_replace_random(e, &mut rng);
-                        }
-                    }
-                }
-            }
-            deltas.seal(&sample);
-            let snapshot = CsrSnapshot::from_edges(sample.edges().iter().copied());
-
-            for v in 0..=versions {
-                let hash_view = VersionView::new(&sample, &deltas, v);
-                let snap_view = VersionView::over_snapshot(&snapshot, &sample, &deltas, v);
-                for id in 0..20u32 {
-                    for side in [Side::Left, Side::Right] {
-                        let vref = VertexRef::new(side, id);
-                        prop_assert_eq!(
-                            view_neighbors(&snap_view, vref),
-                            view_neighbors(&hash_view, vref)
-                        );
-                        prop_assert_eq!(
-                            snap_view.view_degree(vref),
-                            hash_view.view_degree(vref)
-                        );
-                        prop_assert_eq!(
-                            snap_view.view_neighbor_degree_sum_capped(vref, usize::MAX),
-                            hash_view.view_neighbor_degree_sum_capped(vref, usize::MAX)
-                        );
-                        for n in 0..20u32 {
-                            prop_assert_eq!(
-                                snap_view.view_contains(vref, n),
-                                hash_view.view_contains(vref, n)
-                            );
-                        }
-                        let other = VertexRef::new(side, (id + 1) % 20);
-                        prop_assert_eq!(
-                            snap_view.view_intersection_excluding(vref, other, id),
-                            hash_view.view_intersection_excluding(vref, other, id)
-                        );
-                    }
-                }
-                for l in 0..6u32 {
-                    for r in 10..16u32 {
-                        prop_assert_eq!(
-                            count_butterflies_with_edge(&snap_view, edge(l, r)),
-                            count_butterflies_with_edge(&hash_view, edge(l, r))
-                        );
-                    }
-                }
-            }
-        }
-
-        /// Reference check: apply a random batch of sample mutations through
-        /// the recording wrapper, snapshotting the sample before each one.
-        /// Every `VersionView` must report exactly the snapshot's adjacency;
-        /// its capped degree sums must be exact below the cap and reach the
-        /// cap otherwise; and its line-7 side and per-edge counts (whose
-        /// wedge loop resolves the fixed operand once) must equal the
-        /// snapshot's.
-        #[test]
-        fn views_match_full_snapshots(
+        fn rolled_replicas_match_full_snapshots(
             ops in proptest::collection::vec((0u8..3, 0u32..6, 0u32..6), 1..40),
             seed in any::<u64>(),
         ) {
@@ -1062,14 +363,15 @@ mod tests {
             for i in 0..4u32 {
                 sample.store_insert(edge(i, i + 10));
             }
+            let mut replica = sample.clone();
             let mut deltas = VersionedDeltas::new();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut snapshots: Vec<SampleGraph> = Vec::new();
 
-            for (version, (op, l, r)) in (0u32..).zip(ops) {
+            for (op, l, r) in ops {
                 snapshots.push(sample.clone());
                 let e = edge(l, r + 10);
-                let mut rec = RecordingSample::new(&mut sample, &mut deltas, version);
+                let mut rec = RecordingSample::new(&mut sample, &mut deltas);
                 match op {
                     0 => {
                         if !rec.store_contains(&e) {
@@ -1086,56 +388,32 @@ mod tests {
                     }
                 }
             }
-            deltas.seal(&sample);
 
             for (v, snapshot) in snapshots.iter().enumerate() {
-                let view = VersionView::new(&sample, &deltas, v as u32);
-                // Compare adjacency of every vertex id that could appear.
+                prop_assert_eq!(edge_set(&replica), edge_set(snapshot), "version {}", v);
                 for id in 0..20u32 {
                     for side in [Side::Left, Side::Right] {
                         let vref = VertexRef::new(side, id);
-                        let mut want = BTreeSet::new();
-                        snapshot.view_for_each_neighbor(vref, &mut |n| { want.insert(n); });
-                        let got = view_neighbors(&view, vref);
-                        prop_assert_eq!(&got, &want, "vertex {} at version {}", vref, v);
-                        prop_assert_eq!(view.view_degree(vref), want.len());
-                        for n in 0..20u32 {
-                            prop_assert_eq!(
-                                view.view_contains(vref, n),
-                                want.contains(&n),
-                                "membership of {} in {} at version {}", n, vref, v
-                            );
-                        }
-                        let exact = full_sum(snapshot, vref);
-                        for cap in 0..=exact + 1 {
-                            let capped = view.view_neighbor_degree_sum_capped(vref, cap);
-                            prop_assert!(
-                                if exact < cap { capped == exact } else { capped >= cap },
-                                "capped sum {capped} of {vref} at version {v} (cap {cap}, exact {exact})"
-                            );
-                        }
+                        prop_assert_eq!(
+                            neighbors(&replica, vref),
+                            neighbors(snapshot, vref),
+                            "vertex {} at version {}", vref, v
+                        );
                     }
                 }
                 for l in 0..6u32 {
                     for r in 10..16u32 {
-                        let e = edge(l, r);
-                        let (u, w) = (e.left_ref(), e.right_ref());
-                        let want = (snapshot.view_degree(u) > 0 && snapshot.view_degree(w) > 0)
-                            .then(|| {
-                                if full_sum(snapshot, u) < full_sum(snapshot, w) {
-                                    (u, w)
-                                } else {
-                                    (w, u)
-                                }
-                            });
-                        prop_assert_eq!(cheapest_side(&view, e), want);
                         prop_assert_eq!(
-                            count_butterflies_with_edge(&view, e),
-                            count_butterflies_with_edge(snapshot, e)
+                            count_butterflies_with_edge(&replica, edge(l, r)),
+                            count_butterflies_with_edge(snapshot, edge(l, r))
                         );
                     }
                 }
+                deltas.roll(&mut replica, v..v + 1);
             }
+            // The fully rolled replica is the post-batch sample, slot order
+            // included.
+            prop_assert_eq!(replica.edges(), sample.edges());
         }
     }
 }

@@ -1,23 +1,17 @@
 //! Glue between the bounded sample and the frozen CSR counting snapshot.
 //!
-//! The estimators keep the [`CsrSnapshot`] in lock-step with the hash-backed
-//! [`SampleGraph`]:
-//!
-//! * **ABACUS** (per element) routes every Random Pairing update through
-//!   [`MirroredSample`], which applies each mutation to both structures in
-//!   one pass, so the snapshot always equals the sample the next element
-//!   counts against.
-//! * **PARABACUS** (per batch) replays the sealed delta log of each
-//!   mini-batch onto its shared snapshot
-//!   (see `ParAbacus`), mirroring
-//!   [`VersionedDeltas::replay_onto`](crate::parabacus::versioned::VersionedDeltas::replay_onto).
+//! With [`SnapshotMode::On`](crate::SnapshotMode::On), ABACUS keeps a
+//! [`CsrSnapshot`] in lock-step with its hash-backed [`SampleGraph`]: every
+//! Random Pairing update goes through [`MirroredSample`], which applies each
+//! mutation to both structures in one pass, so the snapshot always equals
+//! the sample the next element counts against.  PARABACUS counts on replicas
+//! of its sample and keeps no snapshot.
 //!
 //! Snapshot maintenance is incremental (row patches, see
 //! [`abacus_graph::csr`]); the O(sample) compaction cost is only paid when
 //! churn crosses the snapshot's threshold.
 
 use crate::sample_graph::SampleGraph;
-use abacus_graph::adjacency::AdjacencySet;
 use abacus_graph::csr::CsrSnapshot;
 use abacus_graph::intersect::{
     slice_probe_excluding, sorted_intersection_excluding, IntersectionResult,
@@ -30,9 +24,9 @@ use rand::Rng;
 /// rows once the larger row exceeds this multiple of the smaller one.
 const HYBRID_SIZE_RATIO: usize = 8;
 
-/// The hybrid counting view ABACUS (and the PARABACUS fast path) intersects
-/// against when the snapshot is enabled: CSR rows for iteration, degrees,
-/// and merges, the sample's hash sets for skewed probes.
+/// The hybrid counting view ABACUS intersects against when the snapshot is
+/// enabled: CSR rows for iteration, degrees, and merges, the sample's hash
+/// sets for skewed probes.
 ///
 /// Per operand-size regime the cheapest kernel differs (measured in
 /// `crates/bench/benches/intersect.rs`):
@@ -54,8 +48,7 @@ pub struct SnapshotView<'a> {
 
 impl<'a> SnapshotView<'a> {
     /// Pairs a snapshot with the sample it mirrors.  The two must be in
-    /// lock-step (the estimators guarantee this via [`MirroredSample`] /
-    /// batch replay).
+    /// lock-step (ABACUS guarantees this via [`MirroredSample`]).
     #[must_use]
     pub fn new(snapshot: &'a CsrSnapshot, sample: &'a SampleGraph) -> Self {
         SnapshotView { snapshot, sample }
@@ -85,39 +78,24 @@ impl NeighborhoodView for SnapshotView<'_> {
         b: VertexRef,
         exclude: u32,
     ) -> IntersectionResult {
-        hybrid_intersection_excluding(
-            self.snapshot.row(a),
-            self.snapshot.row(b),
-            exclude,
-            |b_is_large| self.sample.neighbors(if b_is_large { b } else { a }),
-        )
-    }
-}
-
-/// The [`SnapshotView`] kernel over resolved operands: the snapshot rows `ra`
-/// and `rb` of two vertices, and `large_set`, which returns the sample's hash
-/// set behind the larger row (`true`: `b`'s) and is only called when the
-/// sizes are skewed enough for hash probes to win.  The versioned views of
-/// PARABACUS share it, with operands they resolve once per edge.
-#[inline]
-pub(crate) fn hybrid_intersection_excluding<'s>(
-    ra: &[u32],
-    rb: &[u32],
-    exclude: u32,
-    large_set: impl FnOnce(bool) -> Option<&'s AdjacencySet>,
-) -> IntersectionResult {
-    let b_is_large = ra.len() <= rb.len();
-    let (small_row, large_row) = if b_is_large { (ra, rb) } else { (rb, ra) };
-    if small_row.is_empty() {
-        return IntersectionResult::default();
-    }
-    if large_row.len() > small_row.len().saturating_mul(HYBRID_SIZE_RATIO) {
-        // Skewed: probe the hub's hash set if it has one.
-        if let Some(set) = large_set(b_is_large).filter(|set| set.is_large()) {
-            return slice_probe_excluding(small_row, set, exclude);
+        let (ra, rb) = (self.snapshot.row(a), self.snapshot.row(b));
+        // Iterate the smaller row (ties: `a`'s), like the probe kernel.
+        let (small_row, large_row, large) = if ra.len() <= rb.len() {
+            (ra, rb, b)
+        } else {
+            (rb, ra, a)
+        };
+        if small_row.is_empty() {
+            return IntersectionResult::default();
         }
+        if large_row.len() > small_row.len().saturating_mul(HYBRID_SIZE_RATIO) {
+            // Skewed: probe the hub's hash set if it has one.
+            if let Some(set) = self.sample.neighbors(large).filter(|set| set.is_large()) {
+                return slice_probe_excluding(small_row, set, exclude);
+            }
+        }
+        sorted_intersection_excluding(small_row, large_row, exclude)
     }
-    sorted_intersection_excluding(small_row, large_row, exclude)
 }
 
 /// A [`SampleStore`] that applies every mutation to the live sample *and*

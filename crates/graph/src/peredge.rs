@@ -7,11 +7,11 @@
 //! (excluding `u`) completes the butterfly `{u, v, w, x}` through the edges
 //! `{u, w}`, `{w, x}`, `{x, v}`.
 //!
-//! ABACUS runs this kernel against its bounded sample, the exact oracle runs
-//! it against the full graph, FLEET runs it against its reservoir, and
-//! PARABACUS runs it against a *versioned* sample view — hence the kernel is
-//! generic over the [`NeighborhoodView`] trait instead of a concrete graph
-//! type.
+//! ABACUS runs this kernel against its bounded sample (or the CSR snapshot
+//! view of it), PARABACUS against per-worker replicas of that sample, the
+//! exact oracle against the full graph, and FLEET against its reservoir —
+//! hence the kernel is generic over the [`NeighborhoodView`] trait instead
+//! of a concrete graph type.
 //!
 //! The *cheapest-side heuristic* (line 7) picks which endpoint's neighborhood
 //! to iterate: the one whose neighbors have the smaller cumulative degree
@@ -44,7 +44,7 @@ use crate::intersect::IntersectionResult;
 use crate::vertex::VertexRef;
 
 /// Read-only access to vertex neighborhoods, abstracting over the full graph,
-/// the bounded sample, and versioned sample views.
+/// the bounded sample, and the CSR snapshot view of it.
 pub trait NeighborhoodView {
     /// Degree of `v` in the view (0 if absent).
     fn view_degree(&self, v: VertexRef) -> usize;
@@ -102,27 +102,6 @@ pub trait NeighborhoodView {
             result.comparisons += 1;
             if self.view_contains(probe, x) {
                 result.count += 1;
-            }
-        });
-        result
-    }
-
-    /// Counts the butterflies that close the wedges `anchor – w – other`,
-    /// `Σ_{w ∈ N(anchor) \ {other}} |N(w) ∩ N(other) \ {anchor}|`, with the
-    /// probe-model comparisons of the intersections (Algorithm 1, lines
-    /// 8–11).
-    ///
-    /// `other` is the same intersection operand for every `w`, so views that
-    /// pay to look a vertex up override this to resolve it once per edge
-    /// instead of once per wedge.  An override must report exactly the
-    /// counts and comparisons of this default.
-    fn view_count_via_anchor(&self, anchor: VertexRef, other: VertexRef) -> PerEdgeCount {
-        let mut result = PerEdgeCount::default();
-        let wedge_side = anchor.side.opposite(); // side of w (same side as `other`)
-        self.view_for_each_neighbor(anchor, &mut |w_id| {
-            if w_id != other.id {
-                let w = VertexRef::new(wedge_side, w_id);
-                result.add_intersection(self.view_intersection_excluding(w, other, anchor.id));
             }
         });
         result
@@ -238,9 +217,20 @@ pub fn count_butterflies_with_edge_choice<G: NeighborhoodView + ?Sized>(
         SideChoice::IterateLeftNeighbors => Some((u, v)),
         SideChoice::IterateRightNeighbors => Some((v, u)),
     };
-    sides.map_or_else(PerEdgeCount::default, |(anchor, other)| {
-        view.view_count_via_anchor(anchor, other)
-    })
+    let Some((anchor, other)) = sides else {
+        return PerEdgeCount::default();
+    };
+    // Lines 8–11: every common neighbor of `w` and `other` (excluding
+    // `anchor`) closes the wedge `anchor – w – other` into a butterfly.
+    let wedge_side = anchor.side.opposite(); // side of w (same side as `other`)
+    let mut result = PerEdgeCount::default();
+    view.view_for_each_neighbor(anchor, &mut |w_id| {
+        if w_id != other.id {
+            let w = VertexRef::new(wedge_side, w_id);
+            result.add_intersection(view.view_intersection_excluding(w, other, anchor.id));
+        }
+    });
+    result
 }
 
 /// Calls `f(x, w)` once for every butterfly `{u, v, x, w}` that

@@ -119,30 +119,3 @@ proptest! {
         prop_assert_eq!(auto.stats().comparisons, off.stats().comparisons);
     }
 }
-
-/// The snapshot stays in lock-step with the sample through heavy churn
-/// (mid-stream flushes force partial batches of every size).
-#[test]
-fn snapshot_stays_locked_to_the_sample_across_flushes() {
-    let stream = dynamic_stream(77, 3_000, 0.3);
-    let mut par = ParAbacus::new(
-        ParAbacusConfig::new(64)
-            .with_seed(3)
-            .with_batch_size(97)
-            .with_threads(2)
-            .with_pipeline_depth(3)
-            .with_snapshot(SnapshotMode::On),
-    );
-    for (i, element) in stream.iter().enumerate() {
-        par.process(*element);
-        if i % 501 == 0 {
-            par.flush();
-            if let Some(snapshot) = par.snapshot() {
-                assert_eq!(snapshot.num_edges(), par.sample().len(), "element {i}");
-            }
-        }
-    }
-    par.flush();
-    let snapshot = par.snapshot().expect("snapshot forced on");
-    assert_eq!(snapshot.num_edges(), par.sample().len());
-}
