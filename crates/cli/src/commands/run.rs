@@ -159,13 +159,24 @@ pub fn run(args: &Arguments) -> Result<String, CliError> {
         ));
     }
     if let Some(circuit) = circuit {
-        for (name, lines) in circuit.view_reports() {
-            for line in lines {
-                report.push_str(&format!("{:<18}{line}\n", format!("view {name}:")));
-            }
-        }
+        push_view_lines(&mut report, circuit);
     }
     Ok(report)
+}
+
+/// Appends one line per view report line, then a `views report:` line with
+/// the time the reports took.  Reports are evaluated after `elapsed:` was
+/// measured, and some are not free: the bitruss view peels the whole graph.
+fn push_view_lines(report: &mut String, circuit: &super::BoxedCircuit) {
+    let start = Instant::now();
+    let views = circuit.view_reports();
+    let seconds = start.elapsed().as_secs_f64();
+    for (name, lines) in views {
+        for line in lines {
+            report.push_str(&format!("{:<18}{line}\n", format!("view {name}:")));
+        }
+    }
+    report.push_str(&format!("views report:     {seconds:.3}s\n"));
 }
 
 /// Appends the ensemble health block to a report: nothing when every
@@ -380,11 +391,7 @@ pub(crate) fn checkpoint_report(
         ));
     }
     if let Some(circuit) = circuit {
-        for (name, lines) in circuit.view_reports() {
-            for line in lines {
-                report.push_str(&format!("{:<18}{line}\n", format!("view {name}:")));
-            }
-        }
+        push_view_lines(&mut report, circuit);
     }
     report
 }
@@ -730,6 +737,48 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("view anomaly:"), "{out}");
+        // One timing line closes the view block: the reports run after
+        // `elapsed:` is measured.
+        let views_report = |out: &str| {
+            let lines: Vec<&str> = out.lines().collect();
+            let at: Vec<usize> = (0..lines.len())
+                .filter(|&i| lines[i].starts_with("views report:"))
+                .collect();
+            assert_eq!(at.len(), 1, "{out}");
+            assert!(lines[at[0] - 1].starts_with("view "), "{out}");
+            let seconds = lines[at[0]]["views report:".len()..].trim();
+            assert!(
+                seconds.strip_suffix('s').unwrap().parse::<f64>().unwrap() >= 0.0,
+                "{out}"
+            );
+        };
+        views_report(&out);
+
+        // The durable path prints the same view block and timing line.
+        let dir = std::env::temp_dir()
+            .join("abacus_cli_ckpt")
+            .join(format!("views-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let durable = run(&args(&[
+            "--input",
+            path_str,
+            "--algorithm",
+            "exact",
+            "--views",
+            "all",
+            "--checkpoint-dir",
+            dir.to_str().unwrap(),
+        ]))
+        .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            durable.contains("view bitruss:     1 tiers, innermost 4-bitruss (9 edges)"),
+            "{durable}"
+        );
+        views_report(&durable);
+        // Without views there is nothing to time.
+        let bare = run(&args(&["--input", path_str, "--algorithm", "exact"])).unwrap();
+        assert!(!bare.contains("views report:"), "{bare}");
 
         // A subset subscribes only the named views, in the given order.
         let subset = run(&args(&[

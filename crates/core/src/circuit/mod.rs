@@ -14,10 +14,13 @@
 //! **once** — with [`for_each_butterfly_with_edge`] against the pre-insert /
 //! post-delete graph, the same orientation the exact oracle counts with —
 //! and fans the `(x, w)` partner pairs out to every view that wants them, so
-//! adding a view costs only its fold, not another enumeration.  Views are
-//! maintained inside `process`, single-threaded and element-ordered, which
-//! makes their state independent of the host estimator's chunk size, thread
-//! count, and pipeline depth by construction.
+//! adding a view costs only its fold, not another enumeration.  State that
+//! several views read is circuit-owned and folded once: the graph replica,
+//! and the per-edge support map ([`EdgeSupports`]) that the `peredge` and
+//! `bitruss` views both report from.  Views are maintained inside `process`,
+//! single-threaded and element-ordered, which makes their state independent
+//! of the host estimator's chunk size, thread count, and pipeline depth by
+//! construction.
 //!
 //! ```
 //! use abacus_core::circuit::{Circuit, ViewKind};
@@ -42,7 +45,7 @@ pub use views::{
 
 use crate::counter::ButterflyCounter;
 use abacus_graph::persist::{Decoder, Encoder, PersistError};
-use abacus_graph::{for_each_butterfly_with_edge, BipartiteGraph, Edge};
+use abacus_graph::{for_each_butterfly_with_edge, BipartiteGraph, Edge, EdgeSupports};
 use abacus_stream::{DeltaEvent, DeltaView, StreamElement};
 
 /// Every view the registry can build, in canonical presentation order.
@@ -131,10 +134,10 @@ impl ViewKind {
     #[must_use]
     pub fn build(self) -> Box<dyn DeltaView + Send> {
         match self {
-            ViewKind::PerEdge => Box::new(PerEdgeView::new()),
+            ViewKind::PerEdge => Box::new(PerEdgeView),
             ViewKind::Vertex => Box::new(PerVertexView::new()),
             ViewKind::Clustering => Box::new(ClusteringView::new()),
-            ViewKind::Bitruss => Box::new(BitrussView::new()),
+            ViewKind::Bitruss => Box::new(BitrussView),
             ViewKind::Anomaly => Box::new(AnomalyView::default()),
         }
     }
@@ -155,7 +158,8 @@ impl std::fmt::Display for ViewKind {
 }
 
 /// A delta circuit: an estimator plus an authoritative graph fanning each
-/// element's delta out to subscribed views.
+/// element's delta out to subscribed views, with the per-edge support map
+/// its support-reading views share.
 ///
 /// The circuit is itself a [`ButterflyCounter`], so it slots into every
 /// driver in the workspace (sources, monitors, the CLI, the bench harness)
@@ -165,9 +169,11 @@ impl std::fmt::Display for ViewKind {
 pub struct Circuit<C: ButterflyCounter> {
     estimator: C,
     graph: BipartiteGraph,
+    supports: EdgeSupports,
     views: Vec<Box<dyn DeltaView + Send>>,
     scratch: Vec<(u32, u32)>,
     elements: u64,
+    wants_supports: bool,
     wants_pairs: bool,
     wants_graph: bool,
 }
@@ -193,9 +199,11 @@ impl<C: ButterflyCounter> Circuit<C> {
         Circuit {
             estimator,
             graph: BipartiteGraph::new(),
+            supports: EdgeSupports::new(),
             views: Vec::new(),
             scratch: Vec::new(),
             elements: 0,
+            wants_supports: false,
             wants_pairs: false,
             wants_graph: false,
         }
@@ -212,20 +220,30 @@ impl<C: ButterflyCounter> Circuit<C> {
     /// with offline recomputation; subscribing mid-stream is allowed but the
     /// view then only reflects deltas from this point on.
     ///
-    /// Both maintenance costs are demand-driven: butterfly enumeration runs
-    /// only once a view with [`needs_butterflies`] subscribes, and the
-    /// authoritative graph replica is maintained only once a view with
-    /// [`needs_graph`] (or [`needs_butterflies`] — enumeration reads the
-    /// replica) subscribes.  A replica-free circuit (e.g. anomaly-only)
-    /// cannot detect duplicate inserts or absent deletes and reports every
-    /// element as applied, which is exactly what its estimate-only views
-    /// expect.
+    /// Every maintenance cost is demand-driven: the per-edge support map is
+    /// folded only once a view with [`needs_supports`] subscribes, butterfly
+    /// enumeration runs only once a view with [`needs_butterflies`] (or
+    /// [`needs_supports`] — the fold consumes the enumeration) subscribes,
+    /// and the authoritative graph replica is maintained only once a view
+    /// that enumerates or has [`needs_graph`] subscribes.  A replica-free
+    /// circuit (e.g. anomaly-only) cannot detect duplicate inserts or absent
+    /// deletes and reports every element as applied, which is exactly what
+    /// its estimate-only views expect.
     ///
+    /// Support-reading views share one map, which starts empty and is folded
+    /// from the element after the *first* of them subscribes.  A second one
+    /// subscribed later reads that same map, deltas since the first
+    /// subscription included, so it is exactly as current as the first.
+    ///
+    /// [`needs_supports`]: DeltaView::needs_supports
     /// [`needs_butterflies`]: DeltaView::needs_butterflies
     /// [`needs_graph`]: DeltaView::needs_graph
     pub fn add_view(&mut self, view: Box<dyn DeltaView + Send>) {
-        self.wants_pairs = self.wants_pairs || view.needs_butterflies();
-        self.wants_graph = self.wants_graph || view.needs_butterflies() || view.needs_graph();
+        let supports = view.needs_supports();
+        let pairs = supports || view.needs_butterflies();
+        self.wants_supports |= supports;
+        self.wants_pairs |= pairs;
+        self.wants_graph |= pairs || view.needs_graph();
         self.views.push(view);
     }
 
@@ -244,6 +262,15 @@ impl<C: ButterflyCounter> Circuit<C> {
         &self.graph
     }
 
+    /// The per-edge butterfly support map, folded once per applied element
+    /// for every subscribed view that
+    /// [`needs_supports`](DeltaView::needs_supports).  Stays empty when no
+    /// subscribed view reads it (see [`add_view`](Self::add_view)).
+    #[must_use]
+    pub fn supports(&self) -> &EdgeSupports {
+        &self.supports
+    }
+
     /// Stream elements processed so far.
     #[must_use]
     pub fn elements(&self) -> u64 {
@@ -257,12 +284,12 @@ impl<C: ButterflyCounter> Circuit<C> {
     }
 
     /// One `(name, lines)` report per subscribed view, evaluated against the
-    /// circuit's current graph.
+    /// circuit's current graph and support map.
     #[must_use]
     pub fn view_reports(&self) -> Vec<(&'static str, Vec<String>)> {
         self.views
             .iter()
-            .map(|view| (view.name(), view.report(&self.graph)))
+            .map(|view| (view.name(), view.report(&self.graph, &self.supports)))
             .collect()
     }
 
@@ -295,10 +322,20 @@ impl<C: ButterflyCounter> Circuit<C> {
         }
     }
 
+    /// Enumerates the applied element's butterflies into the scratch pairs
+    /// and folds them into the shared support map when a view reads it.
     fn enumerate_pairs(&mut self, element: StreamElement) {
-        let graph = &self.graph;
         let scratch = &mut self.scratch;
-        for_each_butterfly_with_edge(graph, element.edge, &mut |x, w| scratch.push((x, w)));
+        for_each_butterfly_with_edge(&self.graph, element.edge, &mut |x, w| {
+            scratch.push((x, w));
+        });
+        if self.wants_supports {
+            if element.delta.is_insert() {
+                self.supports.apply_insert(element.edge, &self.scratch);
+            } else {
+                self.supports.apply_delete(element.edge, &self.scratch);
+            }
+        }
     }
 }
 
@@ -381,11 +418,12 @@ impl<C: ButterflyCounter + 'static> ButterflyCounter for Circuit<C> {
 
     /// Serializes the wrapped estimator, the authoritative graph (as a sorted
     /// edge list — hash order is history-dependent) and the subscribed view
-    /// roster.  Graph-derived view states are *not* carried: they are pure
-    /// functions of the graph and are recomputed offline on restore, exact by
-    /// each view's parity contract.  Only the anomaly series — pure history —
-    /// travels in the payload.  Circuits holding a view outside the
-    /// [`ViewKind`] registry cannot be checkpointed.
+    /// roster.  Graph-derived states — the views' and the shared support
+    /// map — are *not* carried: they are pure functions of the graph and are
+    /// recomputed offline on restore, exact by each state's parity contract.
+    /// Only the anomaly series — pure history — travels in the payload.
+    /// Circuits holding a view outside the [`ViewKind`] registry cannot be
+    /// checkpointed.
     fn save_state(&mut self) -> Result<Vec<u8>, PersistError> {
         for view in &self.views {
             if ViewKind::parse(view.name()).is_err() {
@@ -476,10 +514,10 @@ impl<C: ButterflyCounter + 'static> ButterflyCounter for Circuit<C> {
                         )));
                     }
                     match graph_kind {
-                        ViewKind::PerEdge => Box::new(PerEdgeView::from_graph(&graph)),
+                        ViewKind::PerEdge => Box::new(PerEdgeView),
                         ViewKind::Vertex => Box::new(PerVertexView::from_graph(&graph)),
                         ViewKind::Clustering => Box::new(ClusteringView::from_graph(&graph)),
-                        ViewKind::Bitruss => Box::new(BitrussView::from_graph(&graph)),
+                        ViewKind::Bitruss => Box::new(BitrussView),
                         ViewKind::Anomaly => {
                             return Err(PersistError::Invariant(
                                 "the anomaly arm above decodes this kind",
@@ -493,6 +531,11 @@ impl<C: ButterflyCounter + 'static> ButterflyCounter for Circuit<C> {
         dec.expect_end()?;
         self.estimator.restore_state(inner)?;
         self.elements = elements;
+        self.supports = if self.wants_supports {
+            EdgeSupports::recompute(&graph)
+        } else {
+            EdgeSupports::new()
+        };
         self.graph = graph;
         self.views = restored;
         self.scratch.clear();
@@ -604,8 +647,7 @@ mod tests {
         circuit.finish();
 
         let graph = circuit.graph();
-        let supports = &circuit.view_state::<PerEdgeView>().unwrap().supports();
-        assert_eq!(**supports, EdgeSupports::recompute(graph));
+        assert_eq!(*circuit.supports(), EdgeSupports::recompute(graph));
         let counts = circuit.view_state::<PerVertexView>().unwrap().counts();
         assert_eq!(*counts, VertexButterflyCounts::recompute(graph));
         let clustering = circuit.view_state::<ClusteringView>().unwrap().state();
@@ -613,9 +655,8 @@ mod tests {
             clustering.coefficient().to_bits(),
             butterfly_clustering_coefficient(graph).to_bits()
         );
-        let bitruss = circuit.view_state::<BitrussView>().unwrap().state();
         assert_eq!(
-            bitruss.decomposition(graph).tier_sizes(),
+            circuit.supports().decomposition(graph).tier_sizes(),
             bitruss_decomposition(graph).tier_sizes()
         );
         // The oracle estimator agrees with the circuit's own graph.
@@ -665,8 +706,11 @@ mod tests {
         circuit.process(StreamElement::insert(Edge::new(0, 10)));
         circuit.process(StreamElement::insert(Edge::new(0, 10))); // duplicate
         circuit.process(StreamElement::delete(Edge::new(5, 50))); // absent
-        let supports = circuit.view_state::<PerEdgeView>().unwrap().supports();
-        assert_eq!(supports.len(), 1, "only the applied insert is tracked");
+        assert_eq!(
+            circuit.supports().len(),
+            1,
+            "only the applied insert is tracked"
+        );
         let series = circuit.view_state::<AnomalyView>().unwrap().series();
         assert_eq!(series.elements(), 3, "anomaly view sees every element");
         assert_eq!(circuit.graph().num_edges(), 1);
@@ -690,7 +734,7 @@ mod tests {
             fn apply_delta(&mut self, event: &DeltaEvent<'_>) {
                 self.pairs += event.butterflies.len();
             }
-            fn report(&self, _graph: &BipartiteGraph) -> Vec<String> {
+            fn report(&self, _graph: &BipartiteGraph, _supports: &EdgeSupports) -> Vec<String> {
                 Vec::new()
             }
             fn as_any(&self) -> &dyn std::any::Any {
@@ -749,5 +793,183 @@ mod tests {
         );
         let counts = circuit.view_state::<PerVertexView>().unwrap().counts();
         assert_eq!(counts.butterflies(), 1);
+    }
+
+    /// A random stream over a small dense universe that also carries
+    /// duplicate inserts and deletes of absent edges, which the exact
+    /// oracle tolerates and the circuit must report as unapplied.
+    fn noisy_stream(seed: u64, elements: usize) -> Vec<StreamElement> {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..elements)
+            .map(|_| {
+                let edge = Edge::new(rng.random_range(0..10u32), rng.random_range(0..10u32));
+                if rng.random_bool(0.35) {
+                    StreamElement::delete(edge)
+                } else {
+                    StreamElement::insert(edge)
+                }
+            })
+            .collect()
+    }
+
+    /// The report line a view of `kind` prints for `graph`, rebuilt from
+    /// offline recomputations.
+    fn offline_report(kind: ViewKind, graph: &BipartiteGraph) -> Vec<String> {
+        let supports = EdgeSupports::recompute(graph);
+        let view: Box<dyn DeltaView + Send> = match kind {
+            ViewKind::Vertex => Box::new(PerVertexView::from_graph(graph)),
+            ViewKind::Clustering => Box::new(ClusteringView::from_graph(graph)),
+            other => other.build(),
+        };
+        view.report(graph, &supports)
+    }
+
+    #[test]
+    fn every_graph_view_subset_matches_offline_recomputation() {
+        use abacus_graph::ClusteringState;
+        let graph_kinds = [
+            ViewKind::PerEdge,
+            ViewKind::Vertex,
+            ViewKind::Clustering,
+            ViewKind::Bitruss,
+        ];
+        let stream = noisy_stream(17, 600);
+        assert!(stream.iter().any(|e| e.delta.is_delete()));
+        for mask in 1..(1u32 << graph_kinds.len()) {
+            let kinds: Vec<ViewKind> = (0..graph_kinds.len())
+                .filter(|&i| mask & (1 << i) != 0)
+                .map(|i| graph_kinds[i])
+                .collect();
+            let mut circuit = Circuit::new(ExactCounter::new());
+            for &kind in &kinds {
+                circuit.add_view(kind.build());
+            }
+            let reads_supports =
+                kinds.contains(&ViewKind::PerEdge) || kinds.contains(&ViewKind::Bitruss);
+            for (i, &element) in stream.iter().enumerate() {
+                circuit.process(element);
+                if (i + 1) % 150 != 0 {
+                    continue;
+                }
+                let context = format!("views {kinds:?} after element {}", i + 1);
+                let graph = circuit.graph();
+                if reads_supports {
+                    assert_eq!(
+                        *circuit.supports(),
+                        EdgeSupports::recompute(graph),
+                        "{context}"
+                    );
+                } else {
+                    assert!(
+                        circuit.supports().is_empty(),
+                        "{context}: unread map folded"
+                    );
+                }
+                if let Some(view) = circuit.view_state::<PerVertexView>() {
+                    assert_eq!(
+                        *view.counts(),
+                        VertexButterflyCounts::recompute(graph),
+                        "{context}"
+                    );
+                }
+                if let Some(view) = circuit.view_state::<ClusteringView>() {
+                    assert_eq!(
+                        *view.state(),
+                        ClusteringState::recompute(graph),
+                        "{context}"
+                    );
+                }
+                let reports = circuit.view_reports();
+                assert_eq!(reports.len(), kinds.len(), "{context}");
+                for (&kind, (name, lines)) in kinds.iter().zip(&reports) {
+                    assert_eq!(*name, kind.name(), "{context}");
+                    assert_eq!(*lines, offline_report(kind, graph), "{context}: {kind}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn support_views_read_one_circuit_owned_map() {
+        // The built-in support readers hold nothing of their own, so the
+        // circuit's map is the only one however many of them subscribe.
+        assert_eq!(size_of::<PerEdgeView>(), 0);
+        assert_eq!(size_of::<BitrussView>(), 0);
+
+        /// Reports the address of the support map it is handed.
+        struct AddressProbe;
+        impl DeltaView for AddressProbe {
+            fn name(&self) -> &'static str {
+                "address"
+            }
+            fn needs_supports(&self) -> bool {
+                true
+            }
+            fn apply_delta(&mut self, _event: &DeltaEvent<'_>) {}
+            fn report(&self, _graph: &BipartiteGraph, supports: &EdgeSupports) -> Vec<String> {
+                vec![format!("{supports:p}")]
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+        }
+        let mut circuit = Circuit::new(ExactCounter::new())
+            .with_view(ViewKind::PerEdge.build())
+            .with_view(Box::new(AddressProbe))
+            .with_view(ViewKind::Bitruss.build())
+            .with_view(Box::new(AddressProbe));
+        circuit.process_stream(&noisy_stream(3, 200));
+        let shared = format!("{:p}", circuit.supports());
+        let addresses: Vec<Vec<String>> = circuit
+            .view_reports()
+            .into_iter()
+            .filter(|(name, _)| *name == "address")
+            .map(|(_, lines)| lines)
+            .collect();
+        assert_eq!(addresses, vec![vec![shared.clone()], vec![shared]]);
+        assert_eq!(
+            *circuit.supports(),
+            EdgeSupports::recompute(circuit.graph())
+        );
+    }
+
+    #[test]
+    fn a_second_support_view_reads_the_map_kept_since_the_first_subscribed() {
+        let stream = noisy_stream(29, 400);
+        let (early, late) = stream.split_at(250);
+
+        // Subscribed from element 0, the map is exact, so a bitruss view
+        // subscribed mid-stream reports the offline decomposition at once.
+        let mut circuit = Circuit::new(ExactCounter::new()).with_view(ViewKind::PerEdge.build());
+        circuit.process_stream(early);
+        circuit.add_view(ViewKind::Bitruss.build());
+        assert_eq!(
+            circuit.view_reports()[1].1,
+            offline_report(ViewKind::Bitruss, circuit.graph())
+        );
+        circuit.process_stream(late);
+        let graph = circuit.graph();
+        assert_eq!(*circuit.supports(), EdgeSupports::recompute(graph));
+        assert_eq!(
+            circuit.view_reports()[1].1,
+            offline_report(ViewKind::Bitruss, graph)
+        );
+
+        // When the first support view itself arrives mid-stream, the map
+        // holds only the deltas since then; a later second reader neither
+        // resets nor forks it.
+        let partial = |second: bool| {
+            let mut circuit = Circuit::new(ExactCounter::new()).with_view(ViewKind::Vertex.build());
+            circuit.process_stream(&stream[..100]);
+            circuit.add_view(ViewKind::PerEdge.build());
+            circuit.process_stream(&stream[100..250]);
+            if second {
+                circuit.add_view(ViewKind::Bitruss.build());
+            }
+            circuit.process_stream(late);
+            circuit.supports().clone()
+        };
+        assert_eq!(partial(true), partial(false));
     }
 }

@@ -1,15 +1,18 @@
 //! The built-in [`DeltaView`] implementations the circuit registry offers.
 //!
-//! Each view is a thin adapter folding [`DeltaEvent`]s into one of the
+//! Most views are thin adapters folding [`DeltaEvent`]s into one of the
 //! delta-maintained states in `abacus-graph` (or, for the anomaly view, the
 //! windowed series in `abacus-metrics`).  The states own the incremental
 //! arithmetic and its bit-parity contract with offline recomputation; the
 //! adapters own the event plumbing — which events to ignore, which side of
 //! the enumeration to feed where, and how to phrase a report line.
+//!
+//! The per-edge and bitruss views hold no state of their own: both read the
+//! one [`EdgeSupports`] map the circuit folds for every view that
+//! [`needs_supports`](DeltaView::needs_supports), the way the graph-reading
+//! views share the circuit's graph replica.
 
-use abacus_graph::{
-    BipartiteGraph, BitrussState, ClusteringState, EdgeSupports, Side, VertexButterflyCounts,
-};
+use abacus_graph::{BipartiteGraph, ClusteringState, EdgeSupports, Side, VertexButterflyCounts};
 use abacus_metrics::AnomalySeries;
 use abacus_stream::{DeltaEvent, DeltaView};
 use std::any::Any;
@@ -20,64 +23,34 @@ pub const DEFAULT_ANOMALY_WINDOW: usize = 1_024;
 
 /// Live per-edge butterfly supports (view `peredge`).
 ///
-/// Maintains [`EdgeSupports`] — the support of every live edge, the input to
-/// bitruss peeling — and bit-matches `abacus_graph::bitruss::edge_supports`
-/// on the circuit's graph at every element.
-#[derive(Debug, Default)]
-pub struct PerEdgeView {
-    supports: EdgeSupports,
-}
-
-impl PerEdgeView {
-    /// An empty per-edge view.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A view recomputed offline from `graph` — the restore path after
-    /// recovery, exact by the view's own parity contract.
-    #[must_use]
-    pub fn from_graph(graph: &BipartiteGraph) -> Self {
-        PerEdgeView {
-            supports: EdgeSupports::recompute(graph),
-        }
-    }
-
-    /// The maintained edge → support map.
-    #[must_use]
-    pub fn supports(&self) -> &EdgeSupports {
-        &self.supports
-    }
-}
+/// Reports the circuit's [`EdgeSupports`] — the support of every live edge,
+/// the input to bitruss peeling — which bit-matches
+/// `abacus_graph::bitruss::edge_supports` on the circuit's graph at every
+/// element.  Read the map itself through
+/// [`Circuit::supports`](crate::circuit::Circuit::supports).
+#[derive(Debug, Clone, Copy)]
+pub struct PerEdgeView;
 
 impl DeltaView for PerEdgeView {
     fn name(&self) -> &'static str {
         "peredge"
     }
 
-    fn apply_delta(&mut self, event: &DeltaEvent<'_>) {
-        if !event.applied {
-            return;
-        }
-        if event.element.delta.is_insert() {
-            self.supports
-                .apply_insert(event.element.edge, event.butterflies);
-        } else {
-            self.supports
-                .apply_delete(event.element.edge, event.butterflies);
-        }
+    fn needs_supports(&self) -> bool {
+        true
     }
 
-    fn report(&self, _graph: &BipartiteGraph) -> Vec<String> {
-        let peak = self.supports.max_support().map_or_else(
+    fn apply_delta(&mut self, _event: &DeltaEvent<'_>) {}
+
+    fn report(&self, _graph: &BipartiteGraph, supports: &EdgeSupports) -> Vec<String> {
+        let peak = supports.max_support().map_or_else(
             || "-".to_string(),
             |(e, s)| format!("{s} on ({}, {})", e.left, e.right),
         );
         vec![format!(
             "{} live edges, total support {}, max support {peak}",
-            self.supports.len(),
-            self.supports.total_support(),
+            supports.len(),
+            supports.total_support(),
         )]
     }
 
@@ -135,7 +108,7 @@ impl DeltaView for PerVertexView {
         }
     }
 
-    fn report(&self, _graph: &BipartiteGraph) -> Vec<String> {
+    fn report(&self, _graph: &BipartiteGraph, _supports: &EdgeSupports) -> Vec<String> {
         let hot = |side: Side| {
             self.counts
                 .max_vertex(side)
@@ -204,7 +177,7 @@ impl DeltaView for ClusteringView {
         }
     }
 
-    fn report(&self, _graph: &BipartiteGraph) -> Vec<String> {
+    fn report(&self, _graph: &BipartiteGraph, _supports: &EdgeSupports) -> Vec<String> {
         vec![format!(
             "coefficient {:.6} ({} butterflies / {} caterpillars)",
             self.state.coefficient(),
@@ -220,57 +193,26 @@ impl DeltaView for ClusteringView {
 
 /// Live bitruss-tier membership (view `bitruss`).
 ///
-/// Maintains the per-edge supports incrementally ([`BitrussState`]); the
-/// decomposition itself is peeled on demand at report time, which is the
-/// expensive part the incremental supports make cheap to refresh.
-#[derive(Debug, Default)]
-pub struct BitrussView {
-    state: BitrussState,
-}
-
-impl BitrussView {
-    /// An empty bitruss view.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A view recomputed offline from `graph` (the restore path).
-    #[must_use]
-    pub fn from_graph(graph: &BipartiteGraph) -> Self {
-        BitrussView {
-            state: BitrussState::recompute(graph),
-        }
-    }
-
-    /// The maintained support state.
-    #[must_use]
-    pub fn state(&self) -> &BitrussState {
-        &self.state
-    }
-}
+/// Reads the circuit's [`EdgeSupports`] and peels the decomposition at
+/// report time ([`EdgeSupports::decomposition`]).  Bitruss numbers are a
+/// global fixpoint with no cheap per-edge patch, so the supports are the
+/// part worth maintaining: with them the peel skips the support pass.
+#[derive(Debug, Clone, Copy)]
+pub struct BitrussView;
 
 impl DeltaView for BitrussView {
     fn name(&self) -> &'static str {
         "bitruss"
     }
 
-    fn apply_delta(&mut self, event: &DeltaEvent<'_>) {
-        if !event.applied {
-            return;
-        }
-        if event.element.delta.is_insert() {
-            self.state
-                .apply_insert(event.element.edge, event.butterflies);
-        } else {
-            self.state
-                .apply_delete(event.element.edge, event.butterflies);
-        }
+    fn needs_supports(&self) -> bool {
+        true
     }
 
-    fn report(&self, graph: &BipartiteGraph) -> Vec<String> {
-        let decomposition = self.state.decomposition(graph);
-        let tiers = decomposition.tier_sizes();
+    fn apply_delta(&mut self, _event: &DeltaEvent<'_>) {}
+
+    fn report(&self, graph: &BipartiteGraph, supports: &EdgeSupports) -> Vec<String> {
+        let tiers = supports.decomposition(graph).tier_sizes();
         let top = tiers.last().map_or_else(
             || "-".to_string(),
             |&(k, n)| format!("{k}-bitruss ({n} edges)"),
@@ -358,7 +300,7 @@ impl DeltaView for AnomalyView {
         self.series.force_snapshot(estimate);
     }
 
-    fn report(&self, _graph: &BipartiteGraph) -> Vec<String> {
+    fn report(&self, _graph: &BipartiteGraph, _supports: &EdgeSupports) -> Vec<String> {
         let anomalies = self.series.anomalous_windows();
         let last = self
             .series

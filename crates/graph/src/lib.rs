@@ -49,7 +49,7 @@ pub mod vertex;
 
 pub use adjacency::AdjacencySet;
 pub use bipartite::BipartiteGraph;
-pub use bitruss::{bitruss_decomposition, peel_from_supports, BitrussDecomposition, BitrussState};
+pub use bitruss::{bitruss_decomposition, peel_from_supports, BitrussDecomposition};
 pub use clustering::{butterfly_clustering_coefficient, count_caterpillars, ClusteringState};
 pub use csr::CsrSnapshot;
 pub use edge::{Edge, EdgeKey};

@@ -234,46 +234,55 @@ pub fn count_butterflies_with_edge_choice<G: NeighborhoodView + ?Sized>(
 }
 
 /// Calls `f(x, w)` once for every butterfly `{u, v, x, w}` that
-/// `edge = {u, v}` forms with the edges of `view`: `w` ranges over the
+/// `edge = {u, v}` forms with the edges of `graph`: `w` ranges over the
 /// right-side partners `N(u) \ {v}` and `x` over the left-side partners
 /// `N(w) ∩ N(v) \ {u}`, so each butterfly is reported exactly once and the
 /// number of callbacks equals
-/// [`count_butterflies_with_edge`]`(view, edge).butterflies`.
+/// [`count_butterflies_with_edge`]`(graph, edge).butterflies`.
 ///
 /// This is the enumerating twin of the counting kernel: the delta-maintained
 /// views ([`EdgeSupports`], `VertexButterflyCounts`) need the *identities* of
 /// the three completing edges `{u, w}`, `{x, w}`, `{x, v}`, not just how many
 /// butterflies the mutation touches.  Like the counting kernel it never looks
 /// at `edge` itself, so the enumeration is identical whether `edge` is already
-/// present in the view or not.
-pub fn for_each_butterfly_with_edge<G: NeighborhoodView + ?Sized>(
-    view: &G,
+/// present in the graph or not.
+///
+/// `N(u)` and `N(v)` are resolved once per call and each `N(w)` once per
+/// wedge, so no membership probe pays a vertex lookup.  Each wedge iterates
+/// the smaller of `N(w)` and `N(v)` and probes the other, the rule of
+/// [`intersect_into`](crate::intersect::intersect_into).
+pub fn for_each_butterfly_with_edge(
+    graph: &BipartiteGraph,
     edge: Edge,
     f: &mut dyn FnMut(u32, u32),
 ) {
-    let u = edge.left_ref();
-    let v = edge.right_ref();
-    if view.view_degree(v) == 0 || view.view_degree(u) == 0 {
+    let (Some(nu), Some(nv)) = (
+        graph.neighbors(edge.left_ref()),
+        graph.neighbors(edge.right_ref()),
+    ) else {
         return;
-    }
-    view.view_for_each_neighbor(u, &mut |w_id| {
-        if w_id == edge.right {
-            return;
+    };
+    for w in nu {
+        if w == edge.right {
+            continue;
         }
-        let w = VertexRef::right(w_id);
-        // Iterate the smaller of N(w) and N(v), probe the other; both sets
-        // hold left-side vertices, so either order yields the partners `x`.
-        let (iterate, probe) = if view.view_degree(w) <= view.view_degree(v) {
-            (w, v)
-        } else {
-            (v, w)
+        // `w` is adjacent to `u`, so its set is present.
+        let Some(nw) = graph.neighbors(VertexRef::right(w)) else {
+            continue;
         };
-        view.view_for_each_neighbor(iterate, &mut |x| {
-            if x != edge.left && view.view_contains(probe, x) {
-                f(x, w_id);
+        // Both sets hold left-side vertices, so either order yields the
+        // partners `x`.
+        let (iterate, probe) = if nw.len() <= nv.len() {
+            (nw, nv)
+        } else {
+            (nv, nw)
+        };
+        for x in iterate {
+            if x != edge.left && probe.contains(x) {
+                f(x, w);
             }
-        });
-    });
+        }
+    }
 }
 
 /// Delta-maintained butterfly support of every live edge.
@@ -379,6 +388,14 @@ impl EdgeSupports {
     pub fn total_support(&self) -> u128 {
         // lint:allow(hash-iter): u128 sum is order-insensitive
         self.supports.values().map(|&s| u128::from(s)).sum()
+    }
+
+    /// Peels the supports into the bitruss decomposition of `graph`, which
+    /// must be the graph they were maintained against (see
+    /// [`peel_from_supports`](crate::bitruss::peel_from_supports)).
+    #[must_use]
+    pub fn decomposition(&self, graph: &BipartiteGraph) -> crate::bitruss::BitrussDecomposition {
+        crate::bitruss::peel_from_supports(graph, &self.supports)
     }
 
     /// The edge with the largest support, ties broken by the larger edge key
@@ -760,6 +777,44 @@ mod tests {
                         if full_sum(&g, u) < full_sum(&g, v) { (u, v) } else { (v, u) }
                     });
                     prop_assert_eq!(cheapest_side(&g, e), want);
+                }
+            }
+        }
+
+        /// On random graphs the enumeration reports exactly the butterflies
+        /// of a brute-force reference, for present and absent edges alike:
+        /// no butterfly twice, and as many as the counting kernel counts.
+        #[test]
+        fn enumeration_reports_exactly_the_naive_butterflies(
+            edges in proptest::collection::vec((0u32..7, 0u32..7), 0..45),
+        ) {
+            let g = graph(&edges);
+            // Ids up to 7 include vertices absent from every graph.
+            for l in 0..8u32 {
+                for r in 0..8u32 {
+                    let e = Edge::new(l, r);
+                    let mut got = enumerate(&g, e);
+                    prop_assert_eq!(
+                        got.len() as u64,
+                        count_butterflies_with_edge(&g, e).butterflies,
+                        "edge ({}, {})", l, r
+                    );
+                    got.sort_unstable();
+                    let reported = got.len();
+                    got.dedup();
+                    prop_assert_eq!(got.len(), reported, "edge ({}, {}) repeats a pair", l, r);
+                    let mut want = Vec::new();
+                    for x in (0..8u32).filter(|&x| x != l) {
+                        for w in (0..8u32).filter(|&w| w != r) {
+                            let closes = [(l, w), (x, w), (x, r)]
+                                .iter()
+                                .all(|&(a, b)| g.has_edge(Edge::new(a, b)));
+                            if closes {
+                                want.push((x, w));
+                            }
+                        }
+                    }
+                    prop_assert_eq!(got, want, "edge ({}, {})", l, r);
                 }
             }
         }

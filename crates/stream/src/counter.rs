@@ -375,7 +375,11 @@ mod tests {
                 "null"
             }
             fn apply_delta(&mut self, _event: &crate::view::DeltaEvent<'_>) {}
-            fn report(&self, _graph: &abacus_graph::BipartiteGraph) -> Vec<String> {
+            fn report(
+                &self,
+                _graph: &abacus_graph::BipartiteGraph,
+                _supports: &abacus_graph::EdgeSupports,
+            ) -> Vec<String> {
                 Vec::new()
             }
             fn as_any(&self) -> &dyn std::any::Any {

@@ -6,8 +6,9 @@
 //! coefficient, bitruss tiers, anomaly windows — can be maintained by folding
 //! those deltas instead of recomputing offline.  [`DeltaView`] is the
 //! interface such a consumer implements; the delta circuit in `abacus-core`
-//! owns the authoritative graph, enumerates each mutation's butterflies
-//! once, and fans the resulting [`DeltaEvent`] out to every subscribed view.
+//! owns the authoritative graph and the per-edge support map, enumerates each
+//! mutation's butterflies once, and fans the resulting [`DeltaEvent`] out to
+//! every subscribed view.
 //!
 //! The trait lives here (not in `abacus-core`) because it is part of the
 //! counter contract: [`ButterflyCounter::subscribe_view`] is the hook through
@@ -17,7 +18,7 @@
 //! [`ButterflyCounter::subscribe_view`]: crate::counter::ButterflyCounter::subscribe_view
 
 use crate::element::StreamElement;
-use abacus_graph::BipartiteGraph;
+use abacus_graph::{BipartiteGraph, EdgeSupports};
 use std::any::Any;
 
 /// One graph mutation, fanned out by the delta circuit to every view.
@@ -83,6 +84,17 @@ pub trait DeltaView {
         true
     }
 
+    /// Whether this view reads the per-edge butterfly supports handed to
+    /// [`report`](Self::report).  The circuit folds one shared
+    /// [`EdgeSupports`] map per applied element once any subscribed view
+    /// asks for it, so several readers of the supports cost one fold.
+    /// Folding needs the enumeration, so the circuit ORs this flag into
+    /// [`needs_butterflies`](Self::needs_butterflies) and
+    /// [`needs_graph`](Self::needs_graph).
+    fn needs_supports(&self) -> bool {
+        false
+    }
+
     /// Folds one delta into the view's state.
     fn apply_delta(&mut self, event: &DeltaEvent<'_>);
 
@@ -94,8 +106,10 @@ pub trait DeltaView {
     }
 
     /// Human-readable summary lines for the end-of-run report, evaluated
-    /// against the final `graph`.
-    fn report(&self, graph: &BipartiteGraph) -> Vec<String>;
+    /// against the final `graph` and the circuit's per-edge `supports`
+    /// (empty unless some subscribed view
+    /// [`needs_supports`](Self::needs_supports)).
+    fn report(&self, graph: &BipartiteGraph, supports: &EdgeSupports) -> Vec<String>;
 
     /// Concrete-type access for callers that need the maintained state back
     /// (parity tests, the CLI report path).
@@ -123,7 +137,7 @@ mod tests {
         fn finish(&mut self, estimate: f64) {
             self.finished = Some(estimate);
         }
-        fn report(&self, _graph: &BipartiteGraph) -> Vec<String> {
+        fn report(&self, _graph: &BipartiteGraph, _supports: &EdgeSupports) -> Vec<String> {
             vec![format!("{} deltas", self.deltas)]
         }
         fn as_any(&self) -> &dyn Any {
@@ -139,6 +153,7 @@ mod tests {
         };
         assert!(view.needs_butterflies());
         assert!(view.needs_graph());
+        assert!(!view.needs_supports());
         let graph = BipartiteGraph::new();
         let event = DeltaEvent {
             element: StreamElement::insert(Edge::new(0, 1)),
@@ -152,7 +167,10 @@ mod tests {
         view.finish(42.0);
         assert_eq!(view.deltas, 1);
         assert_eq!(view.finished, Some(42.0));
-        assert_eq!(view.report(&graph), vec!["1 deltas".to_string()]);
+        assert_eq!(
+            view.report(&graph, &EdgeSupports::new()),
+            vec!["1 deltas".to_string()]
+        );
         assert!(view.as_any().downcast_ref::<CountingView>().is_some());
     }
 }

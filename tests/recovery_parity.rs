@@ -18,7 +18,7 @@
 //! [`PersistError`] — never a panic, never a silently wrong estimate.
 
 use abacus::prelude::*;
-use abacus_core::circuit::{AnomalyView, BitrussView, ClusteringView, PerEdgeView, PerVertexView};
+use abacus_core::circuit::{AnomalyView, ClusteringView, PerVertexView};
 use abacus_core::{Checkpointer, Recovery, RunManifest};
 use abacus_graph::persist::PersistError;
 use abacus_graph::{
@@ -269,7 +269,7 @@ fn ensembles_restore_each_replica_seed_stably() {
 fn assert_views_match_recompute(circuit: &BoxedCircuit, context: &str) {
     let graph = circuit.graph();
     assert_eq!(
-        *circuit.view_state::<PerEdgeView>().unwrap().supports(),
+        *circuit.supports(),
         EdgeSupports::recompute(graph),
         "peredge diverged {context}"
     );
@@ -289,7 +289,7 @@ fn assert_views_match_recompute(circuit: &BoxedCircuit, context: &str) {
         butterfly_clustering_coefficient(graph).to_bits(),
         "clustering coefficient diverged {context}"
     );
-    let bitruss = circuit.view_state::<BitrussView>().unwrap().state();
+    let bitruss = circuit.supports();
     assert_eq!(
         bitruss.decomposition(graph),
         bitruss_decomposition(graph),

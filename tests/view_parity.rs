@@ -5,10 +5,10 @@
 //! pipeline depth.
 
 use abacus::prelude::*;
-use abacus_core::circuit::{AnomalyView, BitrussView, ClusteringView, PerEdgeView, PerVertexView};
+use abacus_core::circuit::{AnomalyView, ClusteringView, PerVertexView};
 use abacus_graph::{
-    bitruss_decomposition, butterfly_clustering_coefficient, BitrussState, ClusteringState,
-    EdgeSupports, VertexButterflyCounts,
+    bitruss_decomposition, butterfly_clustering_coefficient, ClusteringState, EdgeSupports,
+    VertexButterflyCounts,
 };
 use abacus_stream::SliceSource;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -58,7 +58,7 @@ fn circuit_with_all_views<C: ButterflyCounter + 'static>(estimator: C) -> Circui
 /// recomputation on the circuit's current graph, bit for bit.
 fn assert_views_match_recompute<C: ButterflyCounter>(circuit: &Circuit<C>, context: &str) {
     let graph = circuit.graph();
-    let supports = circuit.view_state::<PerEdgeView>().unwrap().supports();
+    let supports = circuit.supports();
     assert_eq!(
         *supports,
         EdgeSupports::recompute(graph),
@@ -81,18 +81,17 @@ fn assert_views_match_recompute<C: ButterflyCounter>(circuit: &Circuit<C>, conte
         butterfly_clustering_coefficient(graph).to_bits(),
         "clustering coefficient diverged {context}"
     );
-    let bitruss = circuit.view_state::<BitrussView>().unwrap().state();
+    let bitruss = circuit.supports();
     assert_eq!(
         bitruss.decomposition(graph),
         bitruss_decomposition(graph),
         "bitruss diverged {context}"
     );
     assert_eq!(
-        *bitruss.supports(),
+        *bitruss,
         EdgeSupports::recompute(graph),
         "bitruss supports diverged {context}"
     );
-    let _ = BitrussState::recompute(graph); // recompute path itself stays callable
 }
 
 #[test]
@@ -167,23 +166,14 @@ fn graph_fingerprint<C: ButterflyCounter>(
     EdgeSupports,
 ) {
     (
-        circuit
-            .view_state::<PerEdgeView>()
-            .unwrap()
-            .supports()
-            .clone(),
+        circuit.supports().clone(),
         circuit
             .view_state::<PerVertexView>()
             .unwrap()
             .counts()
             .clone(),
         *circuit.view_state::<ClusteringView>().unwrap().state(),
-        circuit
-            .view_state::<BitrussView>()
-            .unwrap()
-            .state()
-            .supports()
-            .clone(),
+        circuit.supports().clone(),
     )
 }
 
