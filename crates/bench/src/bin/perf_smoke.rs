@@ -9,7 +9,8 @@
 //! * `BENCH_parabacus.json` — ABACUS and single-thread PARABACUS wall time
 //!   and throughput over a fixed dataset-analog stream: ABACUS with the
 //!   frozen CSR counting snapshot on and off (plus the snapshot's reduction
-//!   in percent), PARABACUS in total and in its counting phase,
+//!   in percent), PARABACUS in total and in its batch steps (the `counting`
+//!   rows),
 //! * `BENCH_ingest.json` — the streaming-ingest column: ABACUS throughput
 //!   over a ~1M-element on-disk workload through the materialized driver
 //!   and the pull-based text/binary sources, with measured peak heap,
@@ -295,14 +296,13 @@ fn intersect_rows(trials: usize) -> Vec<Row> {
     rows
 }
 
-/// One timed PARABACUS run: (total seconds, counting-phase seconds).
+/// One timed PARABACUS run: (total seconds, seconds in batch steps).
 fn run_parabacus(stream: &[StreamElement], budget: usize, batch: usize) -> (f64, f64) {
     let mut estimator = ParAbacus::new(
         ParAbacusConfig::new(budget)
             .with_seed(SEED)
             .with_batch_size(batch)
-            .with_threads(1)
-            .with_pipeline_depth(1),
+            .with_threads(1),
     );
     let start = Instant::now();
     estimator.process_stream(stream);
@@ -329,8 +329,9 @@ fn run_abacus(stream: &[StreamElement], budget: usize, snapshot: SnapshotMode) -
 /// dense) and Trackers-like (hub skewed) analogs at the speedup scale,
 /// budget 7500, batch size 10000 (fig9; Movielens-like additionally at the
 /// fig4 default M = 500).  ABACUS runs with the CSR snapshot off and forced
-/// on; PARABACUS has one counting path (its sample replicas), so it runs
-/// once per batch size, reporting the whole run and its counting phase.
+/// on; PARABACUS has one counting path (its replicas' samples), so it runs
+/// once per batch size, reporting the whole run and the time its batch
+/// steps took (`PhaseTimings::counting_seconds`).
 ///
 /// The runs of every configuration are *interleaved per trial* and the
 /// reduction metric is a median of per-trial ratios: this container's

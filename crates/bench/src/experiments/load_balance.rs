@@ -30,8 +30,7 @@ pub fn fig10_load_balance(settings: &Settings) -> Vec<Table> {
             let result = run(
                 EstimatorSpec::parabacus(k)
                     .with_batch_size(batch_size)
-                    .with_threads(threads)
-                    .with_pipeline_depth(settings.pipeline_depth),
+                    .with_threads(threads),
                 &stream,
             );
             let workloads = &result.thread_workloads;

@@ -8,7 +8,6 @@
 pub mod accuracy;
 pub mod deletions;
 pub mod load_balance;
-pub mod pipeline;
 pub mod scalability;
 pub mod speedup;
 pub mod table2;
@@ -17,7 +16,6 @@ pub mod throughput;
 pub use accuracy::{fig3_accuracy_with_deletions, fig5_accuracy_insert_only};
 pub use deletions::{fig6a_error_vs_alpha, fig6b_throughput_vs_alpha};
 pub use load_balance::fig10_load_balance;
-pub use pipeline::pipeline_vs_alternating;
 pub use scalability::fig7_scalability;
 pub use speedup::{fig8_speedup_vs_batch_size, fig9_speedup_vs_threads};
 pub use table2::table2_dataset_statistics;

@@ -32,18 +32,11 @@ fn sequential_seconds(
     secs
 }
 
-fn parabacus_seconds(
-    stream: &[StreamElement],
-    k: usize,
-    batch_size: usize,
-    threads: usize,
-    pipeline_depth: usize,
-) -> f64 {
+fn parabacus_seconds(stream: &[StreamElement], k: usize, batch_size: usize, threads: usize) -> f64 {
     let result = run(
         EstimatorSpec::parabacus(k)
             .with_batch_size(batch_size)
-            .with_threads(threads)
-            .with_pipeline_depth(pipeline_depth),
+            .with_threads(threads),
         stream,
     );
     result.throughput.seconds
@@ -76,13 +69,7 @@ pub fn fig8_speedup_vs_batch_size(settings: &Settings) -> Vec<Table> {
                 let mut row = vec![batch.to_string()];
                 for &k in &settings.speedup_sample_sizes {
                     let seq = sequential_seconds(&mut cache, dataset, &stream, k);
-                    let par = parabacus_seconds(
-                        &stream,
-                        k,
-                        batch,
-                        settings.max_threads,
-                        settings.pipeline_depth,
-                    );
+                    let par = parabacus_seconds(&stream, k, batch, settings.max_threads);
                     row.push(format!("{:.2}", seq / par.max(1e-9)));
                 }
                 table.add_row(row);
@@ -93,15 +80,9 @@ pub fn fig8_speedup_vs_batch_size(settings: &Settings) -> Vec<Table> {
 }
 
 /// Fig. 9 — speedup while varying the number of threads (M = 10K).
-///
-/// Next to the paper's alternating schedule the table reports the pipelined
-/// engine (depth from [`Settings::pipeline_depth`]) for every thread count,
-/// so the gain from overlapping phase 1 with phase 2 is visible in the same
-/// sweep that shows the Amdahl saturation it attacks.
 #[must_use]
 pub fn fig9_speedup_vs_threads(settings: &Settings) -> Vec<Table> {
     let batch_size = *settings.batch_sizes.last().unwrap_or(&10_000);
-    let depth = settings.pipeline_depth.max(2);
     let mut cache = HashMap::new();
     Dataset::all()
         .into_iter()
@@ -110,14 +91,12 @@ pub fn fig9_speedup_vs_threads(settings: &Settings) -> Vec<Table> {
             let stream = speedup_stream(dataset, settings.default_alpha, settings.speedup_scale);
             let mut header: Vec<String> = vec!["Threads".to_string()];
             for &k in &settings.speedup_sample_sizes {
-                header.push(format!("alternating k={k}"));
-                header.push(format!("pipelined k={k}"));
+                header.push(format!("speedup k={k}"));
             }
             let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
             let mut table = Table::new(
                 format!(
-                    "Fig. 9 — PARABACUS speedup vs threads ({}, scale {}, M = {batch_size}, \
-                     pipeline depth {depth})",
+                    "Fig. 9 — PARABACUS speedup vs threads ({}, scale {}, M = {batch_size})",
                     dataset.name(),
                     settings.speedup_scale
                 ),
@@ -127,10 +106,8 @@ pub fn fig9_speedup_vs_threads(settings: &Settings) -> Vec<Table> {
                 let mut row = vec![threads.to_string()];
                 for &k in &settings.speedup_sample_sizes {
                     let seq = sequential_seconds(&mut cache, dataset, &stream, k);
-                    let alternating = parabacus_seconds(&stream, k, batch_size, threads, 1);
-                    let pipelined = parabacus_seconds(&stream, k, batch_size, threads, depth);
-                    row.push(format!("{:.2}", seq / alternating.max(1e-9)));
-                    row.push(format!("{:.2}", seq / pipelined.max(1e-9)));
+                    let par = parabacus_seconds(&stream, k, batch_size, threads);
+                    row.push(format!("{:.2}", seq / par.max(1e-9)));
                 }
                 table.add_row(row);
             }

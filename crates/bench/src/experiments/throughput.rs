@@ -43,8 +43,7 @@ pub fn fig4_throughput(settings: &Settings) -> Table {
             let parabacus = run(
                 EstimatorSpec::parabacus(k)
                     .with_batch_size(settings.default_batch_size)
-                    .with_threads(settings.max_threads)
-                    .with_pipeline_depth(settings.pipeline_depth),
+                    .with_threads(settings.max_threads),
                 &stream,
             );
             let abacus_dynamic = run(EstimatorSpec::abacus(k), &stream);

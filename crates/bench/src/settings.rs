@@ -11,7 +11,6 @@
 //! | `ABACUS_SAMPLE_SIZES` | comma-separated sample sizes (edges) | `750,1500,3000` |
 //! | `ABACUS_BATCH_SIZES` | comma-separated mini-batch sizes | `100,500,1000,5000,10000` |
 //! | `ABACUS_DELETION_RATIOS` | comma-separated α values (percent) | `5,10,20,30` |
-//! | `ABACUS_PIPELINE_DEPTH` | PARABACUS pipeline depth used by non-pipeline experiments | 2 |
 //! | `ABACUS_SPEEDUP_SCALE` | dataset scale factor for the throughput/speedup figures | 4 |
 //! | `ABACUS_SPEEDUP_SAMPLE_SIZES` | sample sizes for the throughput/speedup figures | `7500,15000,30000` |
 //!
@@ -43,9 +42,6 @@ pub struct Settings {
     pub default_alpha: f64,
     /// The default PARABACUS mini-batch size (the paper's 500).
     pub default_batch_size: usize,
-    /// The PARABACUS pipeline depth used by the experiments that do not sweep
-    /// it (1 = the paper's alternating schedule, 2 = the default overlap).
-    pub pipeline_depth: usize,
     /// Dataset scale factor used by the throughput / speedup experiments
     /// (Figs. 4, 8–10), relative to the accuracy-scale analogs.
     pub speedup_scale: u32,
@@ -65,7 +61,6 @@ impl Default for Settings {
             deletion_ratios: vec![0.05, 0.10, 0.20, 0.30],
             default_alpha: 0.20,
             default_batch_size: 500,
-            pipeline_depth: 2,
             speedup_scale: 4,
             speedup_sample_sizes: vec![7_500, 15_000, 30_000],
         }
@@ -91,9 +86,6 @@ impl Settings {
         }
         if let Some(ratios) = read_env_list("ABACUS_DELETION_RATIOS") {
             settings.deletion_ratios = ratios.into_iter().map(|v| v as f64 / 100.0).collect();
-        }
-        if let Some(depth) = read_env_number("ABACUS_PIPELINE_DEPTH") {
-            settings.pipeline_depth = (depth as usize).max(1);
         }
         if let Some(scale) = read_env_number("ABACUS_SPEEDUP_SCALE") {
             settings.speedup_scale = (scale as u32).max(1);
@@ -149,7 +141,6 @@ mod tests {
         assert!(s.max_threads >= 1);
         assert_eq!(s.sample_sizes, vec![750, 1_500, 3_000]);
         assert_eq!(s.default_batch_size, 500);
-        assert_eq!(s.pipeline_depth, 2);
         assert!((s.default_alpha - 0.2).abs() < 1e-12);
     }
 

@@ -46,6 +46,8 @@ pub(crate) fn parse_estimator_spec(
         "a positive integer",
     )?;
     let seed: u64 = args.parsed_or("seed", 0, "an unsigned integer")?;
+    // Validated and persisted in the run manifest, but PARABACUS has every
+    // batch in its estimate when `process` returns, so it has no effect.
     let pipeline_depth: usize = args.parsed_or("pipeline-depth", 2, "a positive integer")?;
     // Frozen CSR counting snapshot ablation knob (ABACUS only; PARABACUS
     // accepts and ignores it).

@@ -89,8 +89,9 @@ COMMANDS:
                --batch <mini-batch size, parabacus only>       (default 500)
                --threads <worker threads: parabacus counting,
                           or ensemble fan-out>                 (default all)
-               --pipeline-depth <open batches, parabacus only> (default 2;
-                                                                1 = alternating)
+               --pipeline-depth <accepted, no effect>          (default 2;
+                                                                kept for old
+                                                                command lines)
                --seed <estimator RNG seed>                     (default 0)
                --ensemble <K replicas>                         (default: none;
                                                                 K=1 is bit-identical

@@ -19,8 +19,7 @@
 //! and the per-edge support map ([`EdgeSupports`]) that the `peredge` and
 //! `bitruss` views both report from.  Views are maintained inside `process`,
 //! single-threaded and element-ordered, which makes their state independent
-//! of the host estimator's chunk size, thread count, and pipeline depth by
-//! construction.
+//! of the host estimator's chunk size and thread count by construction.
 //!
 //! ```
 //! use abacus_core::circuit::{Circuit, ViewKind};
@@ -165,7 +164,8 @@ impl std::fmt::Display for ViewKind {
 /// driver in the workspace (sources, monitors, the CLI, the bench harness)
 /// wherever the bare estimator would.  `estimate`/`finish` delegate to the
 /// wrapped estimator; `memory_edges` additionally charges the authoritative
-/// graph the views fold against.
+/// graph the views fold against and the per-edge support map, one entry per
+/// live edge while a view reads it.
 pub struct Circuit<C: ButterflyCounter> {
     estimator: C,
     graph: BipartiteGraph,
@@ -393,7 +393,8 @@ impl<C: ButterflyCounter + 'static> ButterflyCounter for Circuit<C> {
     }
 
     fn memory_edges(&self) -> usize {
-        self.estimator.memory_edges() + self.graph.num_edges()
+        // The support map stays empty unless a view reads it.
+        self.estimator.memory_edges() + self.graph.num_edges() + self.supports.len()
     }
 
     fn name(&self) -> &'static str {
@@ -793,6 +794,29 @@ mod tests {
         );
         let counts = circuit.view_state::<PerVertexView>().unwrap().counts();
         assert_eq!(counts.butterflies(), 1);
+    }
+
+    /// `memory_edges` charges the graph replica, and the support map only
+    /// while a view reads it: one entry per live edge.
+    #[test]
+    fn memory_edges_charge_the_support_map_when_a_view_reads_it() {
+        let biclique = [(0, 10), (0, 11), (1, 10), (1, 11), (2, 10)];
+        let mut without = Circuit::new(ExactCounter::new()).with_view(ViewKind::Vertex.build());
+        let mut with = Circuit::new(ExactCounter::new())
+            .with_view(ViewKind::Vertex.build())
+            .with_view(ViewKind::PerEdge.build());
+        for (l, r) in biclique {
+            without.process(StreamElement::insert(Edge::new(l, r)));
+            with.process(StreamElement::insert(Edge::new(l, r)));
+        }
+        let estimator = without.estimator().memory_edges();
+        assert!(without.supports().is_empty());
+        assert_eq!(without.memory_edges(), estimator + 5);
+        assert_eq!(with.supports().len(), 5);
+        assert_eq!(with.memory_edges(), estimator + 5 + 5);
+        // A deleted edge leaves the replica and the map alike.
+        with.process(StreamElement::delete(Edge::new(2, 10)));
+        assert_eq!(with.memory_edges(), with.estimator().memory_edges() + 4 + 4);
     }
 
     /// A random stream over a small dense universe that also carries

@@ -113,12 +113,10 @@ pub struct ParAbacusConfig {
     pub batch_size: usize,
     /// Number of worker threads `p` used for per-edge counting.
     pub threads: usize,
-    /// Maximum number of mini-batches the two-stage pipeline keeps open at
-    /// once: the batch whose sample versions are being created (phase 1) plus
-    /// up to `pipeline_depth - 1` batches still being counted by the worker
-    /// pool.  `1` disables pipelining and restores the paper's strictly
-    /// alternating phase-1/phase-2 schedule; the default of `2` overlaps each
-    /// batch's sequential phase with the previous batch's parallel phase.
+    /// Accepted and validated (at least 1) but without effect: PARABACUS
+    /// has every batch in its estimate by the time `process` returns.  The
+    /// value is still persisted in run manifests and snapshots, and restore
+    /// checks it against the configuration.
     pub pipeline_depth: usize,
     /// Carried for [`sequential`](Self::sequential) and the estimator
     /// registry; PARABACUS itself ignores it, since it counts on replicas of
@@ -128,7 +126,8 @@ pub struct ParAbacusConfig {
 
 impl ParAbacusConfig {
     /// Creates a configuration with the paper's defaults (`M = 500`), as
-    /// many threads as the machine offers, and a pipeline depth of 2.
+    /// many threads as the machine offers, and a pipeline depth of 2 (which
+    /// has no effect, see [`pipeline_depth`](Self::pipeline_depth)).
     ///
     /// # Panics
     /// Panics if `budget < 2`.
@@ -177,7 +176,8 @@ impl ParAbacusConfig {
         self
     }
 
-    /// Returns the configuration with a different pipeline depth.
+    /// Returns the configuration with a different pipeline depth, which has
+    /// no effect (see [`pipeline_depth`](Self::pipeline_depth)).
     ///
     /// # Panics
     /// Panics if `pipeline_depth` is zero.

@@ -36,6 +36,7 @@ pub mod supervisor;
 
 pub use checkpoint::{Checkpointer, Recovery, RunManifest};
 pub use ensemble::{Ensemble, EnsembleMode, EnsembleSummary};
+pub(crate) use error::panic_message;
 pub use error::{EngineError, ReplicaError};
 pub use spec::{EstimatorKind, EstimatorSpec};
 pub use supervisor::{EnsembleSupervisor, ReplicaRecovery, SupervisorRecovery};

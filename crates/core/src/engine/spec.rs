@@ -128,7 +128,8 @@ pub struct EstimatorSpec {
     pub batch_size: usize,
     /// PARABACUS worker threads `p`.
     pub threads: usize,
-    /// PARABACUS pipeline depth (1 = the paper's alternating schedule).
+    /// PARABACUS pipeline depth: validated and persisted, without effect
+    /// (see [`ParAbacusConfig::pipeline_depth`]).
     pub pipeline_depth: usize,
     /// Frozen-CSR counting snapshot mode (ABACUS; PARABACUS ignores it).
     pub snapshot: SnapshotMode,
@@ -237,7 +238,8 @@ impl EstimatorSpec {
         self
     }
 
-    /// Returns the spec with a different pipeline depth.
+    /// Returns the spec with a different pipeline depth, which has no
+    /// effect (see [`ParAbacusConfig::pipeline_depth`]).
     ///
     /// # Panics
     /// Panics if `pipeline_depth` is zero.

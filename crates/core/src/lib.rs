@@ -41,9 +41,8 @@
 //!   fanned out to N bit-exact live views (per-edge supports, per-vertex
 //!   counts, clustering coefficient, bitruss tiers, anomaly windows),
 //! * [`exact`] — the exact streaming oracle (unbounded memory, ground truth),
-//! * [`parabacus`] — mini-batch parallel processing with versioned samples
-//!   and a two-stage pipelined engine that overlaps sample-version creation
-//!   with counting,
+//! * [`parabacus`] — mini-batch parallel processing as lock-step ABACUS
+//!   replicas, each counting one chunk of every batch,
 //! * [`stats`] — re-export of the per-run processing statistics (defined in
 //!   `abacus_metrics`).
 

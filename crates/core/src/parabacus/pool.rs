@@ -1,171 +1,209 @@
-//! Persistent worker pool for PARABACUS's parallel counting phase.
+//! Lock-step ABACUS replicas and the persistent worker threads that drive
+//! them.
+//!
+//! A [`Replica`] is everything ABACUS's count-then-update step reads or
+//! writes: a sample, its Random Pairing policy and its RNG.  Every replica
+//! of one estimator starts from the same state and applies the same
+//! elements in the same order, so all of them stay identical; each one
+//! counts only its own chunk of every batch ([`Replica::step`]).
 //!
 //! Spawning operating-system threads for every mini-batch costs hundreds of
-//! microseconds per batch — more than the entire per-edge counting work of a
-//! small batch on a laptop-scale sample — and flattens the speedup curves of
-//! Figs. 8 and 9.  [`CountingPool`] therefore keeps `p` worker threads alive
-//! for the lifetime of the estimator.
-//!
-//! Worker `j` owns a private replica of the sample and reads [`CountTask`]s
-//! from its own FIFO channel.  Every worker receives one task per batch —
-//! an empty chunk when the batch is shorter than `p` — because its replica
-//! must roll through every sample mutation, in dispatch order, to hold the
-//! pre-batch version of the next batch.
-//!
-//! A task carries cheap [`Arc`] handles to the batch's op log, elements and
-//! cached sampler triplets.  A worker drops its task *before* reporting the
-//! chunk result, so once the coordinator has collected every result of a
-//! batch it again holds the only reference and can recycle the buffers.
+//! microseconds per batch — more than the per-edge work of a small batch —
+//! so [`ReplicaPool`] keeps `p − 1` worker threads alive for the lifetime of
+//! the estimator, worker `j` owning replica `j + 1`.  The calling thread
+//! drives replica 0 itself.  Each batch reaches the workers as an [`Arc`]
+//! handle on the pool's element vector; a worker drops its handle *before*
+//! reporting its chunk, so once every report is in, the pool again owns the
+//! vector outright and hands it back as the next staging buffer.
 
+use crate::engine::panic_message;
 use crate::probability::increment;
 use crate::sample_graph::SampleGraph;
 use crate::stats::ProcessingStats;
 use abacus_graph::count_butterflies_with_edge;
-use abacus_sampling::RandomPairingState;
-use abacus_stream::StreamElement;
+use abacus_sampling::{RandomPairing, RandomPairingState};
+use abacus_stream::{EdgeDelta, StreamElement};
 use crossbeam::channel::{Receiver, Sender};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use super::versioned::VersionedDeltas;
-
-/// One chunk of a mini-batch: roll a replica through the batch and count
-/// the butterflies of the elements in `range` against their sample
-/// versions on the way.
+/// One ABACUS replica: the sample with its Random Pairing policy and RNG.
 #[derive(Debug, Clone)]
+pub(super) struct Replica {
+    pub sample: SampleGraph,
+    pub policy: RandomPairing,
+    pub rng: StdRng,
+}
+
+/// A cheap digest of a replica's state: its Random Pairing triplet, sample
+/// size and RNG words.  Lock-step replicas report equal fingerprints after
+/// every batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Fingerprint {
+    triplet: RandomPairingState,
+    sample_len: usize,
+    rng: [u64; 4],
+}
+
+impl Replica {
+    /// An empty replica with budget `k` and an RNG seeded with `seed`.
+    pub fn new(budget: usize, seed: u64) -> Self {
+        Replica {
+            sample: SampleGraph::with_budget(budget),
+            policy: RandomPairing::new(budget),
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// This replica's [`Fingerprint`].
+    pub fn fingerprint(&self) -> Fingerprint {
+        Fingerprint {
+            triplet: self.policy.state(),
+            sample_len: self.sample.len(),
+            rng: self.rng.state(),
+        }
+    }
+
+    /// Hands `element` to Random Pairing, which decides whether the sample
+    /// changes (Algorithm 1, step 2).
+    fn update(&mut self, element: StreamElement) {
+        match element.delta {
+            EdgeDelta::Insert => self
+                .policy
+                .insert(element.edge, &mut self.sample, &mut self.rng),
+            EdgeDelta::Delete => {
+                self.policy.delete(&element.edge, &mut self.sample);
+            }
+        }
+    }
+
+    /// Runs ABACUS's count-then-update step over every element of `batch`,
+    /// counting only the elements in `range`: each of those is counted
+    /// against the sample as of the previous element, and `add` receives its
+    /// signed, extrapolated increment (Eq. 1) when it discovered butterflies
+    /// — the values ABACUS adds to its estimate, in stream order.
+    ///
+    /// Returns the work counters of the counted elements.
+    pub fn step(
+        &mut self,
+        batch: &[StreamElement],
+        range: Range<usize>,
+        mut add: impl FnMut(f64),
+    ) -> ProcessingStats {
+        let mut stats = ProcessingStats::default();
+        for &element in &batch[..range.start] {
+            self.update(element);
+        }
+        for &element in &batch[range.clone()] {
+            let per_edge = count_butterflies_with_edge(&self.sample, element.edge);
+            let is_insert = element.delta.is_insert();
+            if per_edge.butterflies > 0 {
+                let budget = self.policy.budget();
+                add(increment(budget, self.policy.state(), is_insert) * per_edge.butterflies as f64);
+            }
+            stats.record_element(is_insert, per_edge.butterflies, per_edge.comparisons);
+            self.update(element);
+        }
+        for &element in &batch[range.end..] {
+            self.update(element);
+        }
+        stats
+    }
+}
+
+/// One worker's share of a mini-batch: step its replica through the whole
+/// batch, counting the elements in `range`.
+#[derive(Debug)]
 pub(super) struct CountTask {
-    /// Monotone id of the mini-batch this chunk belongs to.  With the
-    /// pipelined engine several batches are in flight at once and their chunk
-    /// results interleave on the shared result channel; the id lets the
-    /// coordinator collect exactly one batch's results at a time.
-    pub batch: u64,
-    /// The batch's op log.
-    pub deltas: Arc<VersionedDeltas>,
     /// The batch elements.
     pub elements: Arc<Vec<StreamElement>>,
-    /// Pre-update Random Pairing triplets, one per batch element.
-    pub triplets: Arc<Vec<RandomPairingState>>,
     /// The half-open element range this task counts (empty for a worker
     /// without elements in a short batch).
     pub range: Range<usize>,
     /// Which of the `p` static partitions this chunk is (for Fig. 10's
     /// per-thread workload attribution).
     pub chunk_index: usize,
-    /// Memory budget `k` of the estimator (needed by Eq. 1).
-    pub budget: usize,
     /// Buffer the chunk writes its increments into, recycled from an
     /// earlier chunk result (cleared before use).
     pub increments: Vec<f64>,
 }
 
 /// The result of one executed [`CountTask`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(super) struct ChunkResult {
-    /// The mini-batch the result belongs to.
-    pub batch: u64,
     /// The chunk the result belongs to.
     pub chunk_index: usize,
-    /// The signed, extrapolated increment of every element of the chunk that
-    /// discovered butterflies, in stream order.  The coordinator adds them to
-    /// the estimate one at a time, exactly as ABACUS adds its per-element
-    /// increments, so the two estimates agree bit for bit.
+    /// The increments [`Replica::step`] produced for the chunk, in stream
+    /// order.  The caller adds them to the estimate one at a time, exactly
+    /// as ABACUS adds its per-element increments.
     pub increments: Vec<f64>,
     /// Work counters of the chunk.
     pub stats: ProcessingStats,
+    /// The replica's state after the batch.
+    pub fingerprint: Fingerprint,
 }
 
-/// Executes one chunk on `replica`, which must hold the batch's pre-batch
-/// sample version `S_0`; on return it holds the post-batch version.
-///
-/// The replica is rolled to `S_start` of the chunk, then each element `i`
-/// is counted with ABACUS's kernel against the replica (which holds exactly
-/// `S_i` at that point) and extrapolated with the increment of Eq. 1 before
-/// position `i`'s mutations are applied; finally the rest of the batch is
-/// rolled in.  This is the exact same code path the single-threaded
-/// configuration runs inline, so estimates never depend on whether the pool
-/// was engaged.  The task is consumed, so its `Arc` handles are released
-/// before the result returns.
-pub(super) fn execute_task(replica: &mut SampleGraph, task: CountTask) -> ChunkResult {
+/// Executes one chunk on `replica`.  The task is consumed, so its [`Arc`]
+/// handle on the batch is released before the result returns.
+pub(super) fn execute_task(replica: &mut Replica, task: CountTask) -> ChunkResult {
     let CountTask {
-        batch,
-        deltas,
         elements,
-        triplets,
         range,
         chunk_index,
-        budget,
         mut increments,
     } = task;
     increments.clear();
-    let mut stats = ProcessingStats::default();
-    deltas.roll(replica, 0..range.start);
-    for position in range.clone() {
-        let element = elements[position];
-        let per_edge = count_butterflies_with_edge(&*replica, element.edge);
-        let is_insert = element.delta.is_insert();
-        if per_edge.butterflies > 0 {
-            increments.push(
-                increment(budget, triplets[position], is_insert) * per_edge.butterflies as f64,
-            );
-        }
-        stats.record_element(is_insert, per_edge.butterflies, per_edge.comparisons);
-        deltas.roll(replica, position..position + 1);
-    }
-    deltas.roll(replica, range.end..deltas.positions());
+    let stats = replica.step(&elements, range, |value| increments.push(value));
     ChunkResult {
-        batch,
         chunk_index,
         increments,
         stats,
+        fingerprint: replica.fingerprint(),
     }
 }
 
 /// What a worker reports per executed chunk: the result, or the panic
 /// message if the chunk panicked.  Propagating panics through the channel
-/// keeps a buggy kernel a loud test failure instead of a coordinator that
-/// blocks forever on a result that will never arrive.
+/// keeps a buggy kernel a loud failure instead of a caller that blocks
+/// forever on a result that will never arrive.
 type WorkerReport = Result<ChunkResult, String>;
 
-/// A fixed-size pool of persistent counting workers, each owning a replica
-/// of the sample.
+/// The `p − 1` persistent workers, each owning one replica.
 #[derive(Debug)]
-pub(super) struct CountingPool {
-    /// Worker `j`'s FIFO task queue.
+pub(super) struct ReplicaPool {
+    /// Worker `j`'s task queue; it counts chunk `j + 1`.
     task_txs: Vec<Sender<CountTask>>,
     result_rx: Receiver<WorkerReport>,
-    /// Results that arrived for a newer batch while an older one was being
-    /// collected (workers finish chunks in arbitrary order across in-flight
-    /// batches); handed out by a later
-    /// [`collect_batch_into`](Self::collect_batch_into).
-    parked: Vec<ChunkResult>,
+    /// The batch being counted.  Between batches the pool holds the only
+    /// handle, and the vector is empty.
+    batch: Arc<Vec<StreamElement>>,
+    /// The workers' results of the last batch, in chunk order; their
+    /// increment buffers are reused by the next batch's tasks.
+    results: Vec<ChunkResult>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl CountingPool {
-    /// Spawns `workers` persistent threads, each owning a clone of `sample`
-    /// as its replica.
-    pub fn new(workers: usize, sample: &SampleGraph) -> Self {
-        assert!(workers >= 1, "a counting pool needs at least one worker");
+impl ReplicaPool {
+    /// Spawns `workers` threads, each owning a clone of `replica`.
+    pub fn new(workers: usize, replica: &Replica) -> Self {
         let (result_tx, result_rx) = crossbeam::channel::unbounded::<WorkerReport>();
         let (task_txs, handles) = (0..workers)
             .map(|index| {
                 let (task_tx, task_rx) = crossbeam::channel::unbounded::<CountTask>();
                 let result_tx = result_tx.clone();
-                let mut replica = sample.clone();
+                let mut replica = replica.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("parabacus-worker-{index}"))
                     .spawn(move || {
                         while let Ok(task) = task_rx.recv() {
-                            // `execute_task` consumes the task, so its Arc
-                            // handles are gone before the report is sent and
-                            // the coordinator can recycle the batch's buffers
-                            // once all its results arrived.
                             let report =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     execute_task(&mut replica, task)
                                 }))
-                                .map_err(|payload| panic_message(&payload));
+                                .map_err(panic_message);
                             let failed = report.is_err();
                             if result_tx.send(report).is_err() || failed {
                                 break;
@@ -177,79 +215,83 @@ impl CountingPool {
                 (task_tx, handle)
             })
             .unzip();
-        CountingPool {
+        ReplicaPool {
             task_txs,
             result_rx,
-            parked: Vec::new(), // lint:allow(hot-path-alloc): one-time pool construction; parked entries are drained in place per batch
+            batch: Arc::default(),
+            results: Vec::new(), // lint:allow(hot-path-alloc): one-time pool construction; the vector is cleared, never dropped, per batch
             workers: handles,
         }
     }
 
-    /// Queues `task` on worker `worker`'s FIFO channel.
-    pub fn submit(&self, worker: usize, task: CountTask) {
-        self.task_txs[worker]
-            .send(task)
-            // lint:allow(panic-policy): a dead worker already propagated its own panic; this re-raises the crash on the coordinator by design (PR 2)
-            .expect("PARABACUS worker threads terminated unexpectedly");
-    }
-
-    /// Collects exactly the `count` chunk results of mini-batch `batch` into
-    /// `results` — cleared first, so the coordinator can hand the same vector
-    /// back every batch and amortize its capacity — in chunk order, parking
-    /// results of other in-flight batches for their own later collection.
+    /// Counts one batch of `chunk`-sized chunks: queues chunks `1..p` on the
+    /// workers, runs `own` — chunk 0 on the caller's replica — on the
+    /// calling thread meanwhile, and waits for every worker.
     ///
-    /// When [`collect_batch_into`](Self::collect_batch_into) returns, every
-    /// worker that executed a chunk of `batch` has already dropped its task —
-    /// and with it its `Arc` handles on that batch's buffers — so the
-    /// coordinator can recycle them.
+    /// `batch` is moved into the pool for the duration and comes back
+    /// cleared, with its capacity.  Returns what `own` returned and the
+    /// workers' results in chunk order.
+    ///
     /// # Panics
-    /// Re-raises (as a coordinator panic) any panic that occurred on a worker
+    /// Re-raises (as a caller panic) any panic that occurred on a worker
     /// thread while executing a chunk.
-    pub fn collect_batch_into(&mut self, batch: u64, count: usize, results: &mut Vec<ChunkResult>) {
-        results.clear();
-        results.reserve(count);
-        let mut index = 0;
-        while index < self.parked.len() {
-            if self.parked[index].batch == batch {
-                results.push(self.parked.swap_remove(index));
-            } else {
-                index += 1;
-            }
+    pub fn count<R>(
+        &mut self,
+        batch: &mut Vec<StreamElement>,
+        chunk: usize,
+        own: impl FnOnce(&[StreamElement]) -> R,
+    ) -> (R, &[ChunkResult]) {
+        std::mem::swap(self.staging(), batch);
+        let m = self.batch.len();
+        for (worker, task_tx) in self.task_txs.iter().enumerate() {
+            let chunk_index = worker + 1;
+            let increments = self
+                .results
+                .pop()
+                .map(|result| result.increments)
+                .unwrap_or_default();
+            task_tx
+                .send(CountTask {
+                    elements: Arc::clone(&self.batch),
+                    range: (chunk_index * chunk).min(m)..((chunk_index + 1) * chunk).min(m),
+                    chunk_index,
+                    increments,
+                })
+                // lint:allow(panic-policy): a dead worker already reported its own panic, which re-raised on the caller; sending to it again is a caller bug worth crashing on
+                .expect("PARABACUS worker threads terminated unexpectedly");
         }
-        while results.len() < count {
+        self.results.clear();
+        let own = own(&self.batch);
+        while self.results.len() < self.task_txs.len() {
             let report = self
                 .result_rx
                 .recv()
-                // lint:allow(panic-policy): all senders vanishing mid-batch means a worker crashed without reporting; crash the coordinator rather than count short
+                // lint:allow(panic-policy): all senders vanishing mid-batch means a worker crashed without reporting; crash the caller rather than count short
                 .expect("PARABACUS worker threads terminated unexpectedly");
             match report {
-                Ok(result) if result.batch == batch => results.push(result),
-                Ok(result) => self.parked.push(result),
-                // lint:allow(panic-policy): worker panics are deliberately re-raised on the coordinator (documented `# Panics` contract)
+                Ok(result) => self.results.push(result),
+                // lint:allow(panic-policy): worker panics are deliberately re-raised on the caller (documented `# Panics` contract)
                 Err(message) => panic!("PARABACUS worker panicked: {message}"),
             }
         }
-        // Workers finish in scheduler order.  Sorting by chunk index (at most
-        // `p` results, trivially cheap) puts the chunks' increments back in
-        // stream order, which is what makes every multi-threaded run
-        // bit-identical to sequential ABACUS and to any other driver feeding
-        // the same elements (see `tests/streaming_parity.rs`).
-        results.sort_by_key(|result| result.chunk_index);
+        // Workers finish in scheduler order; sorting (at most `p − 1`
+        // results) puts the chunks' increments back in stream order.
+        self.results.sort_by_key(|result| result.chunk_index);
+        std::mem::swap(self.staging(), batch);
+        batch.clear();
+        (own, &self.results)
+    }
+
+    /// The batch vector, owned outright: no worker holds a handle between
+    /// batches, since each drops its task before reporting.
+    fn staging(&mut self) -> &mut Vec<StreamElement> {
+        Arc::get_mut(&mut self.batch)
+            // lint:allow(panic-policy): every worker dropped its handle before its report was collected; a shared batch here is a pool bug
+            .expect("a worker still holds the previous batch")
     }
 }
 
-/// Best-effort extraction of a human-readable panic message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-impl Drop for CountingPool {
+impl Drop for ReplicaPool {
     fn drop(&mut self) {
         // Disconnect the task channels so idle workers exit their receive
         // loops, then wait for them to finish.
@@ -263,51 +305,25 @@ impl Drop for CountingPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parabacus::versioned::RecordingSample;
     use abacus_graph::Edge;
-    use abacus_sampling::SampleStore;
 
-    fn sample_with(edges: &[(u32, u32)]) -> SampleGraph {
-        let mut sample = SampleGraph::new();
-        for &(l, r) in edges {
-            sample.store_insert(Edge::new(l, r));
-        }
-        sample
+    fn ins(l: u32, r: u32) -> StreamElement {
+        StreamElement::insert(Edge::new(l, r))
     }
 
-    /// The pre-batch sample every test batch starts from.
-    fn base_sample() -> SampleGraph {
-        sample_with(&[(0, 11), (1, 10), (1, 11)])
+    /// The replica every test batch starts from: budget `k`, holding
+    /// three edges of the butterfly {0, 1} × {10, 11}.
+    fn base_replica(budget: usize) -> Replica {
+        let mut replica = Replica::new(budget, 7);
+        replica.step(&[ins(0, 11), ins(1, 10), ins(1, 11)], 0..0, |_| {});
+        replica
     }
 
-    fn triplets_for(len: usize) -> Vec<RandomPairingState> {
-        vec![
-            RandomPairingState {
-                live_items: 3,
-                bad_deletions: 0,
-                good_deletions: 0
-            };
-            len
-        ]
-    }
-
-    /// A task over a batch whose positions mutate nothing, so every version
-    /// equals the base sample.
     fn task_for(elements: Vec<StreamElement>, range: Range<usize>) -> CountTask {
-        let mut sample = base_sample();
-        let mut deltas = VersionedDeltas::new();
-        for _ in &elements {
-            let _ = RecordingSample::new(&mut sample, &mut deltas);
-        }
-        let triplets = triplets_for(elements.len());
         CountTask {
-            batch: 0,
-            deltas: Arc::new(deltas),
             elements: Arc::new(elements),
-            triplets: Arc::new(triplets),
             range,
             chunk_index: 0,
-            budget: 100,
             increments: Vec::new(),
         }
     }
@@ -315,11 +331,8 @@ mod tests {
     #[test]
     fn execute_task_counts_and_extrapolates() {
         // Budget far above the live population: probability 1, increment ±1.
-        let batch = vec![
-            StreamElement::insert(Edge::new(0, 10)),
-            StreamElement::delete(Edge::new(0, 10)),
-        ];
-        let result = execute_task(&mut base_sample(), task_for(batch, 0..2));
+        let batch = vec![ins(0, 10), StreamElement::delete(Edge::new(0, 10))];
+        let result = execute_task(&mut base_replica(100), task_for(batch, 0..2));
         // The insertion finds the butterfly (+1), the deletion removes it
         // (−1), reported in stream order.
         assert_eq!(result.increments, [1.0, -1.0]);
@@ -329,121 +342,72 @@ mod tests {
 
     #[test]
     fn execute_task_respects_the_range() {
-        let batch = vec![
-            StreamElement::insert(Edge::new(0, 10)),
-            StreamElement::insert(Edge::new(5, 50)),
-        ];
-        let result = execute_task(&mut base_sample(), task_for(batch, 1..2));
+        let batch = vec![ins(0, 10), ins(5, 50)];
+        let result = execute_task(&mut base_replica(100), task_for(batch, 1..2));
         assert_eq!(result.stats.elements, 1);
         assert!(result.increments.is_empty());
     }
 
-    /// Every chunk counts against its own versions and leaves the replica
-    /// at the post-batch sample, whichever range it covers.
+    /// Every chunk counts against the sample as of its own elements and
+    /// leaves the replica in the post-batch state, whichever range it
+    /// covers.
     #[test]
     fn execute_task_rolls_the_replica_through_the_whole_batch() {
-        // Element 0 closes a butterfly with the pre-batch sample; its
-        // update inserts (0,10), and position 1's removes (1,11).  Element 1
-        // touches only fresh vertices.
-        let batch = vec![
-            StreamElement::insert(Edge::new(0, 10)),
-            StreamElement::insert(Edge::new(2, 12)),
-        ];
-        let mut sample = base_sample();
-        let mut deltas = VersionedDeltas::new();
-        RecordingSample::new(&mut sample, &mut deltas).store_insert(Edge::new(0, 10));
-        RecordingSample::new(&mut sample, &mut deltas).store_remove(&Edge::new(1, 11));
-        let deltas = Arc::new(deltas);
-        for range in [0..2, 0..1, 1..2, 2..2] {
-            let mut replica = base_sample();
-            let result = execute_task(
-                &mut replica,
-                CountTask {
-                    batch: 0,
-                    deltas: Arc::clone(&deltas),
-                    elements: Arc::new(batch.clone()),
-                    triplets: Arc::new(triplets_for(2)),
-                    range: range.clone(),
-                    chunk_index: 0,
-                    budget: 100,
-                    increments: Vec::new(),
-                },
+        // Budget 3 keeps the sample full, so element 1 draws from the RNG
+        // and may evict an edge of the butterfly element 2 then closes.
+        let batch = vec![ins(0, 10), ins(2, 12), ins(2, 10), ins(2, 11)];
+        let mut reference = base_replica(3);
+        let full = execute_task(&mut reference, task_for(batch.clone(), 0..4));
+        for range in [0..4, 0..1, 1..3, 3..4, 4..4] {
+            let mut replica = base_replica(3);
+            let result = execute_task(&mut replica, task_for(batch.clone(), range.clone()));
+            assert_eq!(result.fingerprint, full.fingerprint, "{range:?}");
+            assert_eq!(
+                replica.sample.edges(),
+                reference.sample.edges(),
+                "{range:?}"
             );
-            let want = u64::from(range.contains(&0));
-            assert_eq!(result.stats.discovered_butterflies, want, "{range:?}");
-            assert_eq!(replica.edges(), sample.edges(), "{range:?}");
+            assert_eq!(result.stats.elements, range.len() as u64, "{range:?}");
         }
     }
 
     #[test]
     fn pool_runs_tasks_and_returns_all_results() {
-        let mut pool = CountingPool::new(4, &base_sample());
-        let batch = vec![StreamElement::insert(Edge::new(0, 10)); 8];
-        for chunk in 0..4usize {
-            let mut task = task_for(batch.clone(), (chunk * 2)..(chunk * 2 + 2));
-            task.chunk_index = chunk;
-            pool.submit(chunk, task);
-        }
-        let mut results = Vec::new();
-        pool.collect_batch_into(0, 4, &mut results);
-        assert_eq!(results.len(), 4);
+        let batch: Vec<StreamElement> = (0..8).map(|i| ins(20 + i, 30 + i)).collect();
+        let mut own_replica = base_replica(100);
+        let mut pool = ReplicaPool::new(3, &own_replica);
+        let mut staged = batch.clone();
+        let (own, results) = pool.count(&mut staged, 2, |elements| {
+            own_replica.step(elements, 0..2, |_| {})
+        });
+        assert_eq!(own.elements, 2);
+        assert_eq!(results.len(), 3);
         for (i, result) in results.iter().enumerate() {
-            assert_eq!(result.chunk_index, i, "results come back in chunk order");
+            assert_eq!(
+                result.chunk_index,
+                i + 1,
+                "results come back in chunk order"
+            );
             assert_eq!(result.stats.elements, 2);
-            assert_eq!(result.stats.discovered_butterflies, 2);
+            assert_eq!(result.fingerprint, own_replica.fingerprint());
         }
-    }
-
-    #[test]
-    fn interleaved_batches_are_collected_separately() {
-        let mut pool = CountingPool::new(2, &base_sample());
-        let elements = vec![StreamElement::insert(Edge::new(0, 10)); 2];
-        // Two in-flight batches with two chunks each, submitted interleaved.
-        for batch_id in 0..2u64 {
-            for chunk in 0..2usize {
-                let mut task = task_for(elements.clone(), 0..2);
-                task.batch = batch_id;
-                task.chunk_index = chunk;
-                pool.submit(chunk, task);
-            }
-        }
-        // Collect the batches in order; results of batch 1 that complete
-        // early must be parked, not lost and not misattributed.
-        let mut results = Vec::new();
-        for batch_id in 0..2u64 {
-            // Reusing one vector across collections mirrors the coordinator.
-            pool.collect_batch_into(batch_id, 2, &mut results);
-            assert_eq!(results.len(), 2);
-            assert!(results.iter().all(|r| r.batch == batch_id));
-            assert_eq!(results.iter().map(|r| r.stats.elements).sum::<u64>(), 4);
-        }
-        assert!(pool.parked.is_empty());
+        assert!(staged.is_empty(), "the staging buffer comes back cleared");
+        assert!(staged.capacity() >= batch.len());
     }
 
     #[test]
     fn workers_release_their_handles_before_reporting() {
-        let mut pool = CountingPool::new(2, &base_sample());
-        let elements = Arc::new(vec![StreamElement::insert(Edge::new(0, 10)); 4]);
-        let mut task = task_for(vec![StreamElement::insert(Edge::new(0, 10)); 4], 0..4);
-        task.elements = Arc::clone(&elements);
-        pool.submit(0, task.clone());
-        pool.submit(
-            1,
-            CountTask {
-                range: 0..2,
-                chunk_index: 1,
-                ..task
-            },
-        );
-        pool.collect_batch_into(0, 2, &mut Vec::new());
-        // Both workers reported, so the only remaining strong reference to the
-        // element vector is the local one.
-        assert_eq!(Arc::strong_count(&elements), 1);
+        let replica = base_replica(100);
+        let mut pool = ReplicaPool::new(2, &replica);
+        let mut staged = vec![ins(0, 10), ins(2, 12), ins(3, 13), ins(4, 14)];
+        let _ = pool.count(&mut staged, 2, |_| ());
+        // Both workers reported, so the pool's handle is the only one left.
+        assert_eq!(Arc::strong_count(&pool.batch), 1);
     }
 
     #[test]
     fn dropping_the_pool_joins_all_workers() {
-        let pool = CountingPool::new(4, &SampleGraph::new());
+        let pool = ReplicaPool::new(4, &Replica::new(8, 0));
         drop(pool); // must not hang or panic
     }
 }

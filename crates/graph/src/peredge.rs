@@ -8,7 +8,7 @@
 //! `{u, w}`, `{w, x}`, `{x, v}`.
 //!
 //! ABACUS runs this kernel against its bounded sample (or the CSR snapshot
-//! view of it), PARABACUS against per-worker replicas of that sample, the
+//! view of it), PARABACUS against each lock-step replica's sample, the
 //! exact oracle against the full graph, and FLEET against its reservoir —
 //! hence the kernel is generic over the [`NeighborhoodView`] trait instead
 //! of a concrete graph type.

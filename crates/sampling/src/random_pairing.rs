@@ -23,7 +23,7 @@ use crate::store::SampleStore;
 use rand::{Rng, RngExt};
 
 /// A snapshot of the Random Pairing bookkeeping state — exactly the triplet
-/// `{s = |E|, c_b, c_g}` that PARABACUS caches per sample version.
+/// `{s = |E|, c_b, c_g}` that Eq. 1's discovery probability reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RandomPairingState {
     /// Number of stream items currently alive (inserted and not yet deleted).

@@ -519,9 +519,10 @@ impl SampleStore<Edge> for SampleGraph {
     }
 
     fn store_replace_random<R: Rng + ?Sized>(&mut self, item: Edge, rng: &mut R) {
-        // Deliberately expressed as pick → remove → insert so that the
-        // versioned PARABACUS wrapper can reproduce the exact same state
-        // transition (and RNG consumption) while logging the two deltas.
+        // Deliberately expressed as pick → remove → insert so that a
+        // wrapping store (ABACUS's CSR mirror) can reproduce the exact same
+        // state transition (and RNG consumption) while mirroring the two
+        // deltas.
         let victim = self.random_edge(rng);
         self.remove_edge(victim);
         self.insert_edge(item);

@@ -8,11 +8,9 @@
 //! uniformly random victim, and report the size.
 //!
 //! Because the policy is generic over this trait, stores compose by
-//! *wrapping*: `abacus-core` drives the same policy through a recording
-//! wrapper (PARABACUS's `RecordingSample`, which logs every sample mutation
-//! so its counting workers can roll their sample replicas through the batch)
-//! and a mirroring wrapper (`MirroredSample`, which keeps ABACUS's frozen CSR
-//! counting snapshot in lock-step with the sample).
+//! *wrapping*: `abacus-core` drives the same policy through a mirroring
+//! wrapper (`MirroredSample`, which keeps ABACUS's frozen CSR counting
+//! snapshot in lock-step with the sample).
 //! Wrappers must preserve the exact state transitions — and, for
 //! [`store_replace_random`](SampleStore::store_replace_random), the exact
 //! RNG consumption — of the store they wrap, so that sampling decisions are

@@ -115,9 +115,9 @@ pub trait ButterflyCounter {
     /// baselines) this is simply [`estimate`](Self::estimate) — every element
     /// is fully accounted for as soon as `process` returns, so the default
     /// implementation suffices.  PARABACUS overrides it to process the
-    /// partially filled mini-batch buffer and drain its pipeline first, so
-    /// the returned value — and the statistics accessors afterwards — match
-    /// what sequential ABACUS would report over the same stream.
+    /// partially filled mini-batch buffer first, so the returned value — and
+    /// the statistics accessors afterwards — match what sequential ABACUS
+    /// would report over the same stream.
     fn finish(&mut self) -> f64 {
         self.estimate()
     }
@@ -149,7 +149,7 @@ pub trait ButterflyCounter {
     /// matching [`restore_state`](Self::restore_state) can rebuild exactly.
     ///
     /// Takes `&mut self` because saving normalizes buffered work first
-    /// (PARABACUS flushes its mini-batch pipeline), so the payload describes
+    /// (PARABACUS flushes its partial mini-batch), so the payload describes
     /// a single well-defined point in the stream.  Two estimators in equal
     /// state produce byte-identical payloads — the recovery parity suite
     /// compares them directly.
