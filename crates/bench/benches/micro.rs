@@ -8,7 +8,7 @@
 use abacus_core::{
     Abacus, AbacusConfig, ButterflyCounter, ParAbacus, ParAbacusConfig, SampleGraph,
 };
-use abacus_graph::intersect::{intersection_count, sorted_merge_intersection_count};
+use abacus_graph::intersect::intersection_count;
 use abacus_graph::peredge::{count_butterflies_with_edge_choice, SideChoice};
 use abacus_graph::{count_butterflies_with_edge, AdjacencySet, Edge};
 use abacus_sampling::{RandomPairing, SampleStore};
@@ -80,13 +80,8 @@ fn bench_intersection_kernels(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let a: AdjacencySet = (0..2_000u32).filter(|_| rng.random_bool(0.5)).collect();
     let b: AdjacencySet = (0..2_000u32).filter(|_| rng.random_bool(0.5)).collect();
-    let a_sorted = a.to_sorted_vec();
-    let b_sorted = b.to_sorted_vec();
     group.bench_function("hash_probe", |bencher| {
         bencher.iter(|| black_box(intersection_count(&a, &b)));
-    });
-    group.bench_function("sorted_merge", |bencher| {
-        bencher.iter(|| black_box(sorted_merge_intersection_count(&a_sorted, &b_sorted)));
     });
     group.finish();
 }

@@ -1,16 +1,13 @@
 //! Fixed-seed perf-smoke harness: emits machine-readable benchmark artifacts
 //! so the perf trajectory of the counting hot path is tracked in CI.
 //!
-//! Seven JSON files are written (to `ABACUS_BENCH_DIR`, default the current
+//! Six JSON files are written (to `ABACUS_BENCH_DIR`, default the current
 //! directory):
 //!
-//! * `BENCH_intersect.json` — median ns/op of every intersection kernel
-//!   (probe / merge / gallop / adaptive) at three operand-size ratios,
 //! * `BENCH_parabacus.json` — ABACUS and single-thread PARABACUS wall time
-//!   and throughput over a fixed dataset-analog stream: ABACUS with the
-//!   frozen CSR counting snapshot on and off (plus the snapshot's reduction
-//!   in percent), PARABACUS in total and in its batch steps (the `counting`
-//!   rows),
+//!   and throughput over a fixed dataset-analog stream, run interleaved, plus
+//!   PARABACUS's per-element overhead over ABACUS as a median of per-trial
+//!   ratios (see `parabacus_rows`),
 //! * `BENCH_ingest.json` — the streaming-ingest column: ABACUS throughput
 //!   over a ~1M-element on-disk workload through the materialized driver
 //!   and the pull-based text/binary sources, with measured peak heap,
@@ -31,7 +28,7 @@
 //!   honest accounting of `SampleGraph::heap_bytes`, paired with the
 //!   pre-interning hash-of-hashes baseline measured on the same workloads
 //!   under the same accounting, plus before/after columns for the
-//!   single-thread PARABACUS counting overhead (see `samplestore_rows`).
+//!   single-thread PARABACUS overhead (see `samplestore_rows`).
 //!
 //! The ingest section doubles as the bounded-memory *assertion*: a counting
 //! global allocator tracks peak heap, and the run aborts if the streamed
@@ -47,19 +44,15 @@
 
 use abacus_core::engine::{Ensemble, EnsembleMode, EstimatorSpec};
 use abacus_core::{
-    Abacus, AbacusConfig, ButterflyCounter, Circuit, ParAbacus, ParAbacusConfig, SnapshotMode,
-    ViewKind, WindowedMonitor,
-};
-use abacus_graph::intersect::{
-    intersection_count, sorted_adaptive_count, sorted_gallop_count, sorted_merge_intersection_count,
+    Abacus, AbacusConfig, ButterflyCounter, Circuit, ParAbacus, ParAbacusConfig, ViewKind,
+    WindowedMonitor,
 };
 use abacus_graph::{
-    bitruss_decomposition, AdjacencySet, BipartiteGraph, ClusteringState, EdgeSupports,
-    VertexButterflyCounts,
+    bitruss_decomposition, BipartiteGraph, ClusteringState, EdgeSupports, VertexButterflyCounts,
 };
 use abacus_stream::{Dataset, StreamElement};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -71,8 +64,8 @@ const SEED: u64 = 42;
 /// the ingest section can *assert* its memory bound instead of describing it.
 ///
 /// The bookkeeping only runs while `enabled` is set (the ingest section):
-/// the intersect/parabacus timing sections, whose ns/op trajectories CI
-/// compares across runs, pay a single relaxed load per allocation, and
+/// the timing sections, whose ns/op trajectories CI compares across runs,
+/// pay a single relaxed load per allocation, and
 /// `realloc`/`alloc_zeroed` delegate to `System`'s own fast paths (in-place
 /// growth, zeroed pages) rather than the trait's alloc+copy defaults.
 struct CountingAllocator {
@@ -202,102 +195,8 @@ fn json_document(bench: &str, rows: &[Row], extra: &[(String, f64)]) -> String {
     out
 }
 
-/// Times `routine` (`iterations` calls per trial, median over `trials`).
-fn measure<F: FnMut()>(trials: usize, iterations: usize, mut routine: F) -> f64 {
-    let mut samples = Vec::with_capacity(trials);
-    for _ in 0..trials {
-        let start = Instant::now();
-        for _ in 0..iterations {
-            routine();
-        }
-        samples.push(start.elapsed().as_secs_f64() * 1e9 / iterations as f64);
-    }
-    median(samples)
-}
-
-fn sorted_ids(len: usize, rng: &mut StdRng) -> Vec<u32> {
-    let mut out = Vec::with_capacity(len);
-    let mut next = 0u32;
-    while out.len() < len {
-        next += rng.random_range(1u32..=8);
-        out.push(next);
-    }
-    out
-}
-
-fn intersect_rows(trials: usize) -> Vec<Row> {
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let small_len = 256usize;
-    let small_sorted = sorted_ids(small_len, &mut rng);
-    let small_set: AdjacencySet = small_sorted.iter().copied().collect();
-    let mut rows = Vec::new();
-    for ratio in [1usize, 8, 64] {
-        let large_sorted = sorted_ids(small_len * ratio, &mut rng);
-        let large_set: AdjacencySet = large_sorted.iter().copied().collect();
-        let iterations = 2_000;
-        let kernels: Vec<(String, Box<dyn FnMut() + '_>)> = vec![
-            (
-                format!("probe/ratio{ratio}"),
-                Box::new(|| {
-                    black_box(intersection_count(&small_set, &large_set));
-                }),
-            ),
-            (
-                format!("merge/ratio{ratio}"),
-                Box::new(|| {
-                    black_box(sorted_merge_intersection_count(
-                        &small_sorted,
-                        &large_sorted,
-                    ));
-                }),
-            ),
-            (
-                format!("gallop/ratio{ratio}"),
-                Box::new(|| {
-                    black_box(sorted_gallop_count(&small_sorted, &large_sorted));
-                }),
-            ),
-            (
-                format!("adaptive/ratio{ratio}"),
-                Box::new(|| {
-                    black_box(sorted_adaptive_count(&small_sorted, &large_sorted));
-                }),
-            ),
-        ];
-        let mut ratio_rows = Vec::new();
-        for (name, mut kernel) in kernels {
-            let ns = measure(trials, iterations, &mut kernel);
-            ratio_rows.push(Row {
-                name,
-                median_ns_per_op: ns,
-                ops_per_second: 1e9 / ns.max(1e-9),
-            });
-        }
-        // Regression gate for the gallop cutover: whatever the adaptive
-        // dispatch picked at this ratio, it must never be the
-        // measured-slowest kernel in the sweep — if it is, the cutover has
-        // rotted.
-        let slowest = ratio_rows
-            .iter()
-            .max_by(|a, b| a.median_ns_per_op.total_cmp(&b.median_ns_per_op))
-            .expect("ratio sweep is non-empty");
-        assert!(
-            !slowest.name.starts_with("adaptive/"),
-            "adaptive dispatch is the slowest kernel at ratio {ratio}: \
-             {} ns/op ({:?})",
-            slowest.median_ns_per_op,
-            ratio_rows
-                .iter()
-                .map(|r| format!("{} {:.0}ns", r.name, r.median_ns_per_op))
-                .collect::<Vec<_>>(),
-        );
-        rows.extend(ratio_rows);
-    }
-    rows
-}
-
-/// One timed PARABACUS run: (total seconds, seconds in batch steps).
-fn run_parabacus(stream: &[StreamElement], budget: usize, batch: usize) -> (f64, f64) {
+/// One timed single-thread PARABACUS run (total seconds).
+fn run_parabacus(stream: &[StreamElement], budget: usize, batch: usize) -> f64 {
     let mut estimator = ParAbacus::new(
         ParAbacusConfig::new(budget)
             .with_seed(SEED)
@@ -308,16 +207,12 @@ fn run_parabacus(stream: &[StreamElement], budget: usize, batch: usize) -> (f64,
     estimator.process_stream(stream);
     let total = start.elapsed().as_secs_f64();
     black_box(estimator.estimate());
-    (total, estimator.phase_timings().counting_seconds)
+    total
 }
 
 /// One timed ABACUS run (total seconds).
-fn run_abacus(stream: &[StreamElement], budget: usize, snapshot: SnapshotMode) -> f64 {
-    let mut estimator = Abacus::new(
-        AbacusConfig::new(budget)
-            .with_seed(SEED)
-            .with_snapshot(snapshot),
-    );
+fn run_abacus(stream: &[StreamElement], budget: usize) -> f64 {
+    let mut estimator = Abacus::new(AbacusConfig::new(budget).with_seed(SEED));
     let start = Instant::now();
     estimator.process_stream(stream);
     let total = start.elapsed().as_secs_f64();
@@ -327,16 +222,14 @@ fn run_abacus(stream: &[StreamElement], budget: usize, snapshot: SnapshotMode) -
 
 /// The fig9/fig4-style workloads at threads = 1: the Movielens-like (probe
 /// dense) and Trackers-like (hub skewed) analogs at the speedup scale,
-/// budget 7500, batch size 10000 (fig9; Movielens-like additionally at the
-/// fig4 default M = 500).  ABACUS runs with the CSR snapshot off and forced
-/// on; PARABACUS has one counting path (its replicas' samples), so it runs
-/// once per batch size, reporting the whole run and the time its batch
-/// steps took (`PhaseTimings::counting_seconds`).
+/// budget 7500, ABACUS against PARABACUS at batch size 10000 (fig9;
+/// Movielens-like additionally at the fig4 default M = 500).
 ///
-/// The runs of every configuration are *interleaved per trial* and the
-/// reduction metric is a median of per-trial ratios: this container's
-/// throughput drifts by tens of percent over seconds, so back-to-back
-/// pairing is the only way to get a stable comparison.
+/// Every trial runs ABACUS and then each PARABACUS configuration back to
+/// back, and `{name}_parabacus_t1_overhead` is the median over trials of
+/// that trial's PARABACUS (batch 10000) / ABACUS time: this container's
+/// throughput drifts by tens of percent over seconds, so only ratios of
+/// runs made back to back are stable.
 fn parabacus_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
     let budget = env_usize("ABACUS_PERF_SMOKE_BUDGET", 7_500);
     let scale = env_usize("ABACUS_PERF_SMOKE_SCALE", 4) as u32;
@@ -360,47 +253,42 @@ fn parabacus_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
         let elements = stream.len() as f64;
         extra.push((format!("{name}_stream_elements"), elements));
 
-        let _ = run_abacus(&stream, budget, SnapshotMode::Off); // warm-up
-        let mut abacus = (Vec::new(), Vec::new(), Vec::new()); // off, on, ratio
-        for _ in 0..trials {
-            let off = run_abacus(&stream, budget, SnapshotMode::Off);
-            let on = run_abacus(&stream, budget, SnapshotMode::On);
-            abacus.0.push(off);
-            abacus.1.push(on);
-            abacus.2.push(on / off);
-        }
-        for (label, secs) in [
-            ("snapshot_off", median(abacus.0)),
-            ("snapshot_on", median(abacus.1)),
-        ] {
-            rows.push(Row {
-                name: format!("{name}/abacus/{label}"),
-                median_ns_per_op: secs * 1e9 / elements,
-                ops_per_second: elements / secs.max(1e-12),
-            });
-        }
-        extra.push((
-            format!("{name}_abacus_snapshot_reduction_percent"),
-            100.0 * (1.0 - median(abacus.2)),
-        ));
-
         let batches: &[usize] = if dataset == Dataset::MovielensLike {
             &[10_000, 500]
         } else {
             &[10_000]
         };
-        for &batch in batches {
-            let (totals, counting): (Vec<f64>, Vec<f64>) = (0..trials)
-                .map(|_| run_parabacus(&stream, budget, batch))
-                .unzip();
-            for (label, secs) in [("total", median(totals)), ("counting", median(counting))] {
-                rows.push(Row {
-                    name: format!("{name}/parabacus_t1_m{batch}/{label}"),
-                    median_ns_per_op: secs * 1e9 / elements,
-                    ops_per_second: elements / secs.max(1e-12),
-                });
+        let _ = run_abacus(&stream, budget); // warm-up
+        let mut abacus = Vec::with_capacity(trials);
+        let mut parabacus = vec![Vec::with_capacity(trials); batches.len()];
+        let mut overhead = Vec::with_capacity(trials);
+        for _ in 0..trials {
+            let seq = run_abacus(&stream, budget);
+            let par: Vec<f64> = batches
+                .iter()
+                .map(|&batch| run_parabacus(&stream, budget, batch))
+                .collect();
+            overhead.push(par[0] / seq.max(1e-12));
+            abacus.push(seq);
+            for (secs, run) in parabacus.iter_mut().zip(par) {
+                secs.push(run);
             }
         }
+        let labelled = std::iter::once(("abacus".to_string(), abacus)).chain(
+            batches
+                .iter()
+                .zip(parabacus)
+                .map(|(batch, secs)| (format!("parabacus_t1_m{batch}"), secs)),
+        );
+        for (label, secs) in labelled {
+            let secs = median(secs);
+            rows.push(Row {
+                name: format!("{name}/{label}"),
+                median_ns_per_op: secs * 1e9 / elements,
+                ops_per_second: elements / secs.max(1e-12),
+            });
+        }
+        extra.push((format!("{name}_parabacus_t1_overhead"), median(overhead)));
     }
     (rows, extra)
 }
@@ -637,21 +525,24 @@ fn ensemble_rows() -> (Vec<Row>, Vec<(String, f64)>) {
 /// fixed-seed Movielens-like fully dynamic stream.
 ///
 /// Both sides ingest the identical stream through the identical ABACUS
-/// estimator config; the incremental side carries the view inside a
-/// [`Circuit`], the offline side applies elements to a plain graph and
-/// recomputes the view's state from scratch at every batch boundary (the
-/// pre-circuit serving strategy).  The anomaly view has no offline
-/// recomputation — its counterpart is the legacy `WindowedMonitor` wrapper
-/// it replaced, so that pair measures the cost of view re-registration.
+/// estimator config and serve the view at every batch boundary.  The
+/// incremental side carries the view inside a [`Circuit`] and renders its
+/// report there (for the bitruss view, a peel of the maintained supports);
+/// the offline side applies elements to a plain graph and recomputes the
+/// view's state from scratch (the pre-circuit serving strategy).  The
+/// anomaly view has no offline recomputation — its counterpart is the
+/// legacy `WindowedMonitor` wrapper it replaced, so that pair measures the
+/// cost of view re-registration.
 ///
 /// The headline is the `views/all/*` pair: serving the *whole* five-view
 /// panel from one circuit (a single shared enumeration per element) vs the
 /// pre-circuit stack (monitor wrapper + plain graph + all four graph-derived
 /// states recomputed every batch).  Per-view rows are diagnostics — a view
 /// whose offline refresh is cheap (the clustering scalar) can individually
-/// lose to recomputation while the panel still wins by an order of
-/// magnitude, because the offline side pays every refresh, led by the
-/// bitruss peel, where the circuit's enumeration cost is shared.
+/// lose to recomputation while the panel still wins several times over,
+/// because the offline side pays every refresh, led by a bitruss peel of
+/// a freshly recomputed support map, where the circuit's enumeration cost
+/// is shared.
 fn views_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
     let take = env_usize("ABACUS_PERF_SMOKE_VIEW_ELEMENTS", 20_000);
     let batch = env_usize("ABACUS_PERF_SMOKE_VIEW_BATCH", 2_000).max(1);
@@ -672,16 +563,27 @@ fn views_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
     ];
 
     // Incremental: the full circuit run, estimator included (the honest
-    // serving cost of keeping that one view live).
-    let incremental = |kind: ViewKind| -> f64 {
+    // serving cost of keeping the views live), serving one report of every
+    // view at the batch boundaries where the offline side refreshes.
+    let incremental = |kinds: &[ViewKind]| -> f64 {
         let mut samples = Vec::with_capacity(trials);
         for _ in 0..trials {
-            let mut circuit = Circuit::new(estimator()).with_view(kind.build());
+            let mut circuit = Circuit::new(estimator());
+            for kind in kinds {
+                assert!(circuit.subscribe_view(kind.build()).is_ok());
+            }
             let start = Instant::now();
-            circuit.process_stream(&stream);
+            for (i, &element) in stream.iter().enumerate() {
+                circuit.process(element);
+                if (i + 1).is_multiple_of(batch) {
+                    black_box(circuit.view_reports());
+                }
+            }
             circuit.finish();
+            if !stream.len().is_multiple_of(batch) {
+                black_box(circuit.view_reports());
+            }
             samples.push(start.elapsed().as_secs_f64());
-            black_box(circuit.view_reports());
         }
         median(samples)
     };
@@ -728,7 +630,7 @@ fn views_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
     };
 
     for kind in ViewKind::ALL {
-        let inc = incremental(kind);
+        let inc = incremental(&[kind]);
         let off = match kind {
             ViewKind::Anomaly => {
                 // The legacy wrapper path the view replaced.
@@ -766,21 +668,7 @@ fn views_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
     // anomaly series plus a plain graph, with all four graph-derived states
     // recomputed from scratch at every batch boundary.
     {
-        let inc = {
-            let mut samples = Vec::with_capacity(trials);
-            for _ in 0..trials {
-                let mut circuit = Circuit::new(estimator());
-                for kind in ViewKind::ALL {
-                    assert!(circuit.subscribe_view(kind.build()).is_ok());
-                }
-                let start = Instant::now();
-                circuit.process_stream(&stream);
-                circuit.finish();
-                samples.push(start.elapsed().as_secs_f64());
-                black_box(circuit.view_reports());
-            }
-            median(samples)
-        };
+        let inc = incremental(&ViewKind::ALL);
         let off = {
             let mut samples = Vec::with_capacity(trials);
             for _ in 0..trials {
@@ -971,10 +859,10 @@ fn persist_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
 ///   143.1 bytes per edge because it ignored table and header overhead —
 ///   those numbers are not comparable and are deliberately not emitted.
 /// * `parabacus_t1_overhead_before` — the paired single-thread PARABACUS /
-///   ABACUS per-element ratio (batch 10000, snapshot off) committed before
-///   the arena delta logs and scratch reuse landed; the matching `_after`
-///   column is recomputed from this run's `parabacus_rows` medians
-///   (`parabacus_t1_m10000/total` over `abacus/snapshot_off`).
+///   ABACUS per-element ratio (batch 10000) committed before the arena delta
+///   logs and scratch reuse landed; the matching `_after` column is this
+///   run's `{name}_parabacus_t1_overhead` from `parabacus_rows`, the median
+///   of per-trial ratios.
 ///
 /// Doubles as the memory-regression *assertion*: at the default workload
 /// (budget 7500, scale 4, full stream) the run PANICS — failing CI — if
@@ -984,7 +872,7 @@ fn persist_rows(trials: usize) -> (Vec<Row>, Vec<(String, f64)>) {
 /// skipped when the workload knobs are overridden because per-edge overhead
 /// is amortization-sensitive (smaller budgets spread the fixed per-vertex
 /// cost over fewer edges).
-fn samplestore_rows(parabacus: &[Row]) -> (Vec<Row>, Vec<(String, f64)>) {
+fn samplestore_rows(parabacus: &[(String, f64)]) -> (Vec<Row>, Vec<(String, f64)>) {
     let budget = env_usize("ABACUS_PERF_SMOKE_BUDGET", 7_500);
     let scale = env_usize("ABACUS_PERF_SMOKE_SCALE", 4) as u32;
     let take = env_usize("ABACUS_PERF_SMOKE_ELEMENTS", usize::MAX);
@@ -997,13 +885,6 @@ fn samplestore_rows(parabacus: &[Row]) -> (Vec<Row>, Vec<(String, f64)>) {
         ("movielens", Dataset::MovielensLike, 187.4, 140.0, 4.060),
         ("trackers", Dataset::TrackersLike, 316.2, 200.0, 3.539),
     ];
-
-    let median_of = |name: &str| {
-        parabacus
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.median_ns_per_op)
-    };
 
     let mut rows = Vec::new();
     let mut extra = vec![("budget".to_string(), budget as f64)];
@@ -1043,14 +924,9 @@ fn samplestore_rows(parabacus: &[Row]) -> (Vec<Row>, Vec<(String, f64)>) {
             format!("{name}_parabacus_t1_overhead_before"),
             before_overhead,
         ));
-        if let (Some(par), Some(seq)) = (
-            median_of(&format!("{name}/parabacus_t1_m10000/total")),
-            median_of(&format!("{name}/abacus/snapshot_off")),
-        ) {
-            extra.push((
-                format!("{name}_parabacus_t1_overhead_after"),
-                par / seq.max(1e-12),
-            ));
+        let overhead = format!("{name}_parabacus_t1_overhead");
+        if let Some((_, after)) = parabacus.iter().find(|(key, _)| *key == overhead) {
+            extra.push((format!("{overhead}_after"), *after));
         }
 
         if default_workload {
@@ -1068,12 +944,6 @@ fn main() {
     let trials = env_usize("ABACUS_PERF_SMOKE_TRIALS", 3).max(1);
     let out_dir = std::env::var("ABACUS_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
 
-    let rows = intersect_rows(trials);
-    let intersect_json = json_document("intersect", &rows, &[]);
-    let intersect_path = format!("{out_dir}/BENCH_intersect.json");
-    std::fs::write(&intersect_path, &intersect_json).expect("write BENCH_intersect.json");
-    println!("wrote {intersect_path}");
-
     let (rows, extra) = parabacus_rows(trials);
     let parabacus_json = json_document("parabacus", &rows, &extra);
     let parabacus_path = format!("{out_dir}/BENCH_parabacus.json");
@@ -1084,7 +954,7 @@ fn main() {
         println!("{key} = {value:.2}");
     }
 
-    let (samplestore, extra) = samplestore_rows(&rows);
+    let (samplestore, extra) = samplestore_rows(&extra);
     let samplestore_json = json_document("samplestore", &samplestore, &extra);
     let samplestore_path = format!("{out_dir}/BENCH_samplestore.json");
     std::fs::write(&samplestore_path, &samplestore_json).expect("write BENCH_samplestore.json");

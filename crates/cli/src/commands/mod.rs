@@ -49,8 +49,8 @@ pub(crate) fn parse_estimator_spec(
     // Validated and persisted in the run manifest, but PARABACUS has every
     // batch in its estimate when `process` returns, so it has no effect.
     let pipeline_depth: usize = args.parsed_or("pipeline-depth", 2, "a positive integer")?;
-    // Frozen CSR counting snapshot ablation knob (ABACUS only; PARABACUS
-    // accepts and ignores it).
+    // Validated and persisted in the run manifest, with no effect: every
+    // estimator counts on its sample.
     let snapshot: SnapshotMode =
         args.parsed_or("snapshot", SnapshotMode::Auto, "on, off, or auto")?;
     if budget < 2 {

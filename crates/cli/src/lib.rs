@@ -92,6 +92,10 @@ COMMANDS:
                --pipeline-depth <accepted, no effect>          (default 2;
                                                                 kept for old
                                                                 command lines)
+               --snapshot <accepted, no effect>                (on|off|auto,
+                                                                default auto;
+                                                                kept for old
+                                                                command lines)
                --seed <estimator RNG seed>                     (default 0)
                --ensemble <K replicas>                         (default: none;
                                                                 K=1 is bit-identical

@@ -1,23 +1,20 @@
 //! Estimator configuration.
 
-/// Whether ABACUS counts against a frozen CSR snapshot of the sample (see
-/// `abacus_graph::csr`) instead of the hash-backed sample itself.
-/// PARABACUS accepts the setting and ignores it.
+/// Accepted, validated and persisted, with no effect: every estimator
+/// counts on its sample.
 ///
-/// Which backing counts is purely a performance choice: estimates are
-/// bit-identical and the probe-model `comparisons` counters are unchanged,
-/// which the snapshot-parity tests assert.
+/// The mode once chose whether ABACUS counted against a frozen CSR mirror
+/// of its sample instead.  It still parses (`on`, `off`, `auto`), rides in
+/// [`EstimatorSpec`](crate::EstimatorSpec) and is written to run manifests,
+/// so existing command lines, callers and checkpoint directories keep
+/// working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotMode {
-    /// Always count against the hash-backed sample (the ablation baseline).
+    /// `off`; no effect.
     Off,
-    /// Always maintain and count against the CSR snapshot.
+    /// `on`; no effect.
     On,
-    /// The default: count on the hash path, because the snapshot has not
-    /// paid for its maintenance on any workload measured — ABACUS mirrors
-    /// every mutation per element, which measured −41% on the
-    /// Movielens-like analog and −49% on Trackers-like (see
-    /// `BENCH_parabacus.json`).
+    /// `auto`, the default; no effect.
     #[default]
     Auto,
 }
@@ -43,8 +40,6 @@ pub struct AbacusConfig {
     pub budget: usize,
     /// Seed of the estimator's private RNG (sampling decisions only).
     pub seed: u64,
-    /// Whether counting runs against the frozen CSR snapshot.
-    pub snapshot: SnapshotMode,
 }
 
 impl AbacusConfig {
@@ -58,11 +53,7 @@ impl AbacusConfig {
             budget >= 2,
             "ABACUS requires a memory budget of at least 2 edges"
         );
-        AbacusConfig {
-            budget,
-            seed: 0,
-            snapshot: SnapshotMode::default(),
-        }
+        AbacusConfig { budget, seed: 0 }
     }
 
     /// Returns the configuration with a different RNG seed.
@@ -70,27 +61,6 @@ impl AbacusConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Returns the configuration with a different snapshot mode.
-    #[must_use]
-    pub fn with_snapshot(mut self, snapshot: SnapshotMode) -> Self {
-        self.snapshot = snapshot;
-        self
-    }
-
-    /// Whether the sequential estimator counts against the CSR snapshot.
-    ///
-    /// `Auto` resolves to the hash path here: ABACUS mirrors every sample
-    /// mutation into the snapshot *per element*, and on the bench workloads
-    /// that maintenance costs more than the sorted kernels recover —
-    /// `BENCH_parabacus.json` measures forcing the snapshot on as a −41%
-    /// regression on the Movielens-like analog and −49% on Trackers-like,
-    /// so there is no sequential workload in the sweep where it pays.  `On`
-    /// forces the snapshot for ablation.
-    #[must_use]
-    pub fn snapshot_enabled(&self) -> bool {
-        self.snapshot == SnapshotMode::On
     }
 }
 
@@ -118,10 +88,6 @@ pub struct ParAbacusConfig {
     /// value is still persisted in run manifests and snapshots, and restore
     /// checks it against the configuration.
     pub pipeline_depth: usize,
-    /// Carried for [`sequential`](Self::sequential) and the estimator
-    /// registry; PARABACUS itself ignores it, since it counts on replicas of
-    /// its sample and keeps no CSR snapshot.
-    pub snapshot: SnapshotMode,
 }
 
 impl ParAbacusConfig {
@@ -143,7 +109,6 @@ impl ParAbacusConfig {
             batch_size: 500,
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             pipeline_depth: 2,
-            snapshot: SnapshotMode::default(),
         }
     }
 
@@ -188,22 +153,12 @@ impl ParAbacusConfig {
         self
     }
 
-    /// Returns the configuration with a different snapshot mode (which
-    /// PARABACUS ignores, see [`snapshot`](Self::snapshot)).
-    #[must_use]
-    pub fn with_snapshot(mut self, snapshot: SnapshotMode) -> Self {
-        self.snapshot = snapshot;
-        self
-    }
-
-    /// The equivalent sequential configuration (same budget, seed and
-    /// snapshot mode).
+    /// The equivalent sequential configuration (same budget and seed).
     #[must_use]
     pub fn sequential(&self) -> AbacusConfig {
         AbacusConfig {
             budget: self.budget,
             seed: self.seed,
-            snapshot: self.snapshot,
         }
     }
 }
@@ -234,36 +189,10 @@ mod tests {
 
     #[test]
     fn snapshot_mode_resolution_and_parsing() {
-        let resolved = |mode| {
-            AbacusConfig::new(1_000_000)
-                .with_snapshot(mode)
-                .snapshot_enabled()
-        };
-        assert!(!resolved(SnapshotMode::Off));
-        assert!(resolved(SnapshotMode::On));
-        assert!(!resolved(SnapshotMode::Auto));
         assert_eq!("on".parse::<SnapshotMode>().unwrap(), SnapshotMode::On);
         assert_eq!("OFF".parse::<SnapshotMode>().unwrap(), SnapshotMode::Off);
         assert_eq!("Auto".parse::<SnapshotMode>().unwrap(), SnapshotMode::Auto);
         assert!("sometimes".parse::<SnapshotMode>().is_err());
-    }
-
-    #[test]
-    fn snapshot_settings_flow_through_builders() {
-        let c = AbacusConfig::new(100).with_snapshot(SnapshotMode::On);
-        assert!(c.snapshot_enabled());
-
-        let p = ParAbacusConfig::new(100).with_snapshot(SnapshotMode::Off);
-        assert_eq!(p.snapshot, SnapshotMode::Off);
-        let seq = p.sequential();
-        assert_eq!(seq.snapshot, SnapshotMode::Off);
-        // Auto: the sequential estimator stays on the hash path (per-element
-        // mirroring measured slower than the kernels it feeds).
-        assert_eq!(ParAbacusConfig::new(64).snapshot, SnapshotMode::Auto);
-        assert!(!AbacusConfig::new(3_000).snapshot_enabled());
-        assert!(AbacusConfig::new(3_000)
-            .with_snapshot(SnapshotMode::On)
-            .snapshot_enabled());
     }
 
     #[test]

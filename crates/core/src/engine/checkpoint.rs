@@ -278,6 +278,7 @@ impl RunManifest {
         enc.put_usize(self.spec.batch_size);
         enc.put_usize(self.spec.threads);
         enc.put_usize(self.spec.pipeline_depth);
+        // The snapshot mode has no effect; it is kept so manifests round-trip.
         enc.put_u8(match self.spec.snapshot {
             SnapshotMode::Off => 0,
             SnapshotMode::On => 1,

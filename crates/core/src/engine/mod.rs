@@ -9,7 +9,7 @@
 //!
 //! * [`EstimatorSpec`] — a plain, serde-able *description* of an estimator:
 //!   which algorithm ([`EstimatorKind`]), the memory budget, the seed, and
-//!   the PARABACUS/snapshot/kernel tuning.  Specs are cheap `Copy` values
+//!   the PARABACUS tuning.  Specs are cheap `Copy` values
 //!   that can be parsed from CLI strings ([`EstimatorSpec::from_name`]),
 //!   stored in experiment configs, and compared.
 //! * [`EstimatorSpec::build`] — the single registry turning a spec into a

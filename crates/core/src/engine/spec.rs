@@ -131,14 +131,16 @@ pub struct EstimatorSpec {
     /// PARABACUS pipeline depth: validated and persisted, without effect
     /// (see [`ParAbacusConfig::pipeline_depth`]).
     pub pipeline_depth: usize,
-    /// Frozen-CSR counting snapshot mode (ABACUS; PARABACUS ignores it).
+    /// Accepted and persisted in run manifests, with no effect (see
+    /// [`SnapshotMode`]).
     pub snapshot: SnapshotMode,
 }
 
 impl EstimatorSpec {
     /// Creates a spec with the workspace defaults: seed 0, the paper's
     /// `M = 500` mini-batches, as many PARABACUS threads as the machine
-    /// offers, pipeline depth 2, and `auto` snapshot mode.
+    /// offers, pipeline depth 2 and snapshot mode `auto` (neither has an
+    /// effect).
     ///
     /// # Panics
     /// Panics if `budget < 2` (the paper's minimum; EXACT tolerates any
@@ -250,7 +252,8 @@ impl EstimatorSpec {
         self
     }
 
-    /// Returns the spec with a different snapshot mode.
+    /// Returns the spec with a different snapshot mode, which has no effect
+    /// (see [`SnapshotMode`]).
     #[must_use]
     pub fn with_snapshot(mut self, snapshot: SnapshotMode) -> Self {
         self.snapshot = snapshot;
@@ -261,9 +264,7 @@ impl EstimatorSpec {
     /// and LOCAL kinds).
     #[must_use]
     pub fn abacus_config(&self) -> AbacusConfig {
-        AbacusConfig::new(self.budget)
-            .with_seed(self.seed)
-            .with_snapshot(self.snapshot)
+        AbacusConfig::new(self.budget).with_seed(self.seed)
     }
 
     /// The equivalent PARABACUS configuration.
@@ -274,7 +275,6 @@ impl EstimatorSpec {
             .with_batch_size(self.batch_size)
             .with_threads(self.threads)
             .with_pipeline_depth(self.pipeline_depth)
-            .with_snapshot(self.snapshot)
     }
 
     /// Builds the described estimator — the single construction point every
@@ -388,10 +388,10 @@ mod tests {
         assert_eq!(config.batch_size, 64);
         assert_eq!(config.threads, 2);
         assert_eq!(config.pipeline_depth, 3);
-        assert_eq!(config.snapshot, SnapshotMode::On);
         let sequential = spec.abacus_config();
         assert_eq!(sequential.seed, 9);
-        assert_eq!(sequential.snapshot, SnapshotMode::On);
+        // The snapshot mode stays on the spec only: it has no effect.
+        assert_eq!(spec.snapshot, SnapshotMode::On);
     }
 
     #[test]

@@ -32,11 +32,10 @@
 //! * [`sample_graph`] — re-export of the bounded sample stored as a
 //!   bipartite graph (defined in `abacus_sampling` next to the policies
 //!   that drive it),
-//! * [`snapshot`] — glue keeping the frozen CSR counting snapshot
-//!   (`abacus_graph::csr`) in lock-step with the sample,
 //! * [`probability`] — the butterfly-discovery probability of Eq. 1 and the
 //!   reciprocal-increment rule,
-//! * [`abacus`] — Algorithm 1,
+//! * [`abacus`] — Algorithm 1, and the replica of ABACUS's sampler state
+//!   (sample, Random Pairing, RNG) that ABACUS, LOCAL and PARABACUS share,
 //! * [`circuit`] — the incremental multi-view delta circuit: one ingest
 //!   fanned out to N bit-exact live views (per-edge supports, per-vertex
 //!   counts, clustering coefficient, bitruss tiers, anomaly windows),
@@ -59,7 +58,6 @@ pub mod monitor;
 pub mod parabacus;
 mod persist;
 pub mod probability;
-pub mod snapshot;
 
 // The trait, the sample store, and the work counters moved down the crate
 // stack (stream / sampling / metrics) so the insert-only baselines no longer

@@ -16,25 +16,23 @@
 //! per-vertex map costs O(#active vertices) extra memory — which is why the
 //! plain global estimator remains the default.
 
+use crate::abacus::Replica;
 use crate::config::AbacusConfig;
 use crate::counter::ButterflyCounter;
 use crate::probability::increment;
-use crate::sample_graph::SampleGraph;
 use crate::stats::ProcessingStats;
 use abacus_graph::persist::{Decoder, Encoder, PersistError};
 use abacus_graph::{cheapest_side, FxHashMap, Side, VertexRef};
-use abacus_sampling::{RandomPairing, RandomPairingState};
-use abacus_stream::{EdgeDelta, StreamElement};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use abacus_sampling::RandomPairingState;
+use abacus_stream::StreamElement;
 
 /// ABACUS with per-vertex butterfly estimates.
 #[derive(Debug)]
 pub struct LocalAbacus {
     config: AbacusConfig,
-    sample: SampleGraph,
-    policy: RandomPairing,
-    rng: StdRng,
+    /// ABACUS's sampler state; this estimator counts with its own kernel
+    /// and samples through [`Replica::update`].
+    replica: Replica,
     global_estimate: f64,
     local_estimates: FxHashMap<VertexRef, f64>,
     stats: ProcessingStats,
@@ -46,9 +44,7 @@ impl LocalAbacus {
     pub fn new(config: AbacusConfig) -> Self {
         LocalAbacus {
             config,
-            sample: SampleGraph::with_budget(config.budget),
-            policy: RandomPairing::new(config.budget),
-            rng: StdRng::seed_from_u64(config.seed),
+            replica: Replica::new(config.budget, config.seed),
             global_estimate: 0.0,
             local_estimates: FxHashMap::default(),
             stats: ProcessingStats::default(),
@@ -85,7 +81,7 @@ impl LocalAbacus {
     /// The Random Pairing bookkeeping triplet.
     #[must_use]
     pub fn sampler_state(&self) -> RandomPairingState {
-        self.policy.state()
+        self.replica.sampler_state()
     }
 
     /// Work counters accumulated so far.
@@ -111,12 +107,12 @@ impl LocalAbacus {
         // keep the identity of the fourth vertex so it can be credited.
         // An isolated endpoint (`None`) leaves the loop below no wedge to
         // close, whichever side it iterates.
-        let (anchor, other) = cheapest_side(&self.sample, edge).unwrap_or((u, v));
+        let sample = self.replica.sample();
+        let (anchor, other) = cheapest_side(sample, edge).unwrap_or((u, v));
         let wedge_side = anchor.side.opposite();
 
         let mut updates: Vec<(VertexRef, VertexRef)> = Vec::new();
-        let anchor_neighbors: Vec<u32> = self
-            .sample
+        let anchor_neighbors: Vec<u32> = sample
             .neighbors(anchor)
             .map(|n| n.iter().collect())
             .unwrap_or_default();
@@ -126,7 +122,7 @@ impl LocalAbacus {
             }
             let w = VertexRef::new(wedge_side, w_id);
             let (Some(w_neighbors), Some(other_neighbors)) =
-                (self.sample.neighbors(w), self.sample.neighbors(other))
+                (sample.neighbors(w), sample.neighbors(other))
             else {
                 continue;
             };
@@ -165,16 +161,11 @@ impl ButterflyCounter for LocalAbacus {
     fn process(&mut self, element: StreamElement) {
         let per_butterfly = increment(
             self.config.budget,
-            self.policy.state(),
+            self.replica.sampler_state(),
             element.delta.is_insert(),
         );
         self.count_and_attribute(element, per_butterfly);
-        match element.delta {
-            EdgeDelta::Insert => self
-                .policy
-                .insert(element.edge, &mut self.sample, &mut self.rng),
-            EdgeDelta::Delete => self.policy.delete(&element.edge, &mut self.sample),
-        }
+        self.replica.update(element);
     }
 
     fn estimate(&self) -> f64 {
@@ -182,7 +173,7 @@ impl ButterflyCounter for LocalAbacus {
     }
 
     fn memory_edges(&self) -> usize {
-        self.sample.len()
+        self.replica.sample().len()
     }
 
     fn name(&self) -> &'static str {
@@ -197,14 +188,7 @@ impl ButterflyCounter for LocalAbacus {
         let mut enc = Encoder::new();
         enc.put_usize(self.config.budget);
         enc.put_u64(self.config.seed);
-        let state = self.policy.state();
-        enc.put_usize(state.live_items);
-        enc.put_usize(state.bad_deletions);
-        enc.put_usize(state.good_deletions);
-        for word in self.rng.state() {
-            enc.put_u64(word);
-        }
-        self.sample.encode_state(&mut enc);
+        self.replica.encode_state(&mut enc);
         enc.put_f64(self.global_estimate);
         // Hash order is history-dependent; a sorted dump makes the payload a
         // pure function of the estimates.
@@ -233,18 +217,7 @@ impl ButterflyCounter for LocalAbacus {
                 "ABACUS-local snapshot was written under a different configuration".into(),
             ));
         }
-        let triplet = RandomPairingState {
-            live_items: dec.get_usize()?,
-            bad_deletions: dec.get_usize()?,
-            good_deletions: dec.get_usize()?,
-        };
-        self.policy = RandomPairing::from_state(self.config.budget, triplet);
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = dec.get_u64()?;
-        }
-        self.rng = StdRng::from_state(rng_state);
-        self.sample.restore_state(&mut dec)?;
+        self.replica.restore_state(&mut dec)?;
         self.global_estimate = dec.get_f64()?;
         let count = dec.get_usize()?;
         // Each entry is at least 13 bytes (side + id + estimate).
@@ -315,9 +288,7 @@ mod tests {
                 plain.estimate(),
                 local.estimate()
             );
-            // Sampled state is identical; `memory_edges` differs by the
-            // counting-side auxiliaries (CSR snapshot, sorted caches) that
-            // the plain estimator charges and LocalAbacus does not use.
+            // Sampled state is identical.
             assert_eq!(plain.sample().len(), local.memory_edges());
         }
     }

@@ -34,16 +34,15 @@
 
 mod pool;
 
+use crate::abacus::Replica;
 use crate::config::ParAbacusConfig;
 use crate::counter::ButterflyCounter;
 use crate::sample_graph::SampleGraph;
 use crate::stats::ProcessingStats;
-use abacus_graph::csr::CsrSnapshot;
 use abacus_graph::persist::{Decoder, Encoder, PersistError};
-use abacus_sampling::{RandomPairing, RandomPairingState};
+use abacus_sampling::RandomPairingState;
 use abacus_stream::StreamElement;
-use pool::{ChunkResult, Replica, ReplicaPool};
-use rand::rngs::StdRng;
+use pool::{ChunkResult, ReplicaPool};
 
 /// The mini-batch parallel PARABACUS estimator.
 ///
@@ -132,15 +131,14 @@ impl ParAbacus {
     /// batches.
     #[must_use]
     pub fn sample(&self) -> &SampleGraph {
-        &self.replica.sample
+        self.replica.sample()
     }
 
-    /// Always `None`: PARABACUS counts on its replicas' samples and keeps no
-    /// CSR counting snapshot, whatever [`ParAbacusConfig::snapshot`] says.
-    /// The accessor stays so callers written against the snapshot-backed
-    /// engine keep compiling.
+    /// Always `None`: every estimator counts on its sample, and no CSR
+    /// mirror of it exists.  The accessor stays for callers written against
+    /// the mirror-backed engine.
     #[must_use]
-    pub fn snapshot(&self) -> Option<&CsrSnapshot> {
+    pub fn snapshot(&self) -> Option<std::convert::Infallible> {
         None
     }
 
@@ -148,7 +146,7 @@ impl ParAbacus {
     /// batch.
     #[must_use]
     pub fn sampler_state(&self) -> RandomPairingState {
-        self.replica.policy.state()
+        self.replica.sampler_state()
     }
 
     /// Work counters accumulated over all processed batches.
@@ -280,7 +278,7 @@ impl ButterflyCounter for ParAbacus {
         // elements and one sample per replica.  Charged from the
         // configuration rather than from the workers running right now, so
         // a restored estimator reports what an uninterrupted one does.
-        self.replica.sample.len() * self.config.threads + self.buffer.len()
+        self.replica.sample().len() * self.config.threads + self.buffer.len()
     }
 
     fn name(&self) -> &'static str {
@@ -305,12 +303,14 @@ impl ButterflyCounter for ParAbacus {
     /// not (they never affect results), and the workers are cloned from the
     /// restored replica at the next batch.
     ///
-    /// The layout keeps words of earlier engines: a byte and two words of
-    /// the snapshot-backed engine (whether a CSR snapshot was live, and its
-    /// density marker), the op-log engine's replayed-ops count, and the
-    /// pipeline depth, which restore still checks against the
-    /// configuration.  The retired fields are written as zeros and ignored
-    /// on restore, so payloads of either earlier engine restore here.
+    /// The replica is written by `Replica::encode_state`, as ABACUS and
+    /// LOCAL write theirs.  The layout keeps words of earlier engines: a
+    /// byte and two words of the snapshot-backed engine (whether a CSR
+    /// snapshot was live, and its density marker), the op-log engine's
+    /// replayed-ops count, and the pipeline depth, which restore still
+    /// checks against the configuration.  The retired fields are written as
+    /// zeros and ignored on restore, so payloads of either earlier engine
+    /// restore here.
     fn save_state(&mut self) -> Result<Vec<u8>, PersistError> {
         self.flush();
         let mut enc = Encoder::new();
@@ -320,14 +320,7 @@ impl ButterflyCounter for ParAbacus {
         enc.put_usize(self.config.threads);
         enc.put_usize(self.config.pipeline_depth);
         enc.put_u8(0); // retired: CSR snapshot present
-        let state = self.replica.policy.state();
-        enc.put_usize(state.live_items);
-        enc.put_usize(state.bad_deletions);
-        enc.put_usize(state.good_deletions);
-        for word in self.replica.rng.state() {
-            enc.put_u64(word);
-        }
-        self.replica.sample.encode_state(&mut enc);
+        self.replica.encode_state(&mut enc);
         enc.put_u64(0); // retired: replayed ops
         enc.put_u64(0); // retired: snapshot density marker, comparisons
         enc.put_u64(0); // retired: snapshot density marker, replayed ops
@@ -364,18 +357,7 @@ impl ButterflyCounter for ParAbacus {
         self.pool = None;
         self.buffer.clear();
         dec.get_u8()?; // retired: CSR snapshot present
-        let triplet = RandomPairingState {
-            live_items: dec.get_usize()?,
-            bad_deletions: dec.get_usize()?,
-            good_deletions: dec.get_usize()?,
-        };
-        self.replica.policy = RandomPairing::from_state(self.config.budget, triplet);
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = dec.get_u64()?;
-        }
-        self.replica.rng = StdRng::from_state(rng_state);
-        self.replica.sample.restore_state(&mut dec)?;
+        self.replica.restore_state(&mut dec)?;
         dec.get_u64()?; // retired: replayed ops
         dec.get_u64()?; // retired: snapshot density marker, comparisons
         dec.get_u64()?; // retired: snapshot density marker, replayed ops
@@ -476,22 +458,15 @@ mod tests {
     /// `save_state` flushes and flushing moves batch boundaries.
     #[test]
     fn save_restore_mid_stream_is_bit_identical() {
-        use crate::config::SnapshotMode;
         let stream = dynamic_stream(3, 2_000, 0.2);
         let cut = 1234;
-        for &(threads, depth, snapshot) in &[
-            (1usize, 1usize, SnapshotMode::Off),
-            (1, 3, SnapshotMode::On),
-            (2, 2, SnapshotMode::Auto),
-            (2, 4, SnapshotMode::On),
-        ] {
+        for &(threads, depth) in &[(1usize, 1usize), (1, 3), (2, 2), (2, 4)] {
             let config = ParAbacusConfig::new(256)
                 .with_seed(11)
                 .with_batch_size(96)
                 .with_threads(threads)
-                .with_pipeline_depth(depth)
-                .with_snapshot(snapshot);
-            let label = format!("threads {threads}, depth {depth}, snapshot {snapshot:?}");
+                .with_pipeline_depth(depth);
+            let label = format!("threads {threads}, depth {depth}");
 
             // Reference run: checkpoint at the cut (flush included), continue.
             let mut reference = ParAbacus::new(config);

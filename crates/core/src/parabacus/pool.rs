@@ -1,11 +1,9 @@
-//! Lock-step ABACUS replicas and the persistent worker threads that drive
-//! them.
+//! The persistent worker threads that drive PARABACUS's lock-step ABACUS
+//! replicas.
 //!
-//! A [`Replica`] is everything ABACUS's count-then-update step reads or
-//! writes: a sample, its Random Pairing policy and its RNG.  Every replica
-//! of one estimator starts from the same state and applies the same
-//! elements in the same order, so all of them stay identical; each one
-//! counts only its own chunk of every batch ([`Replica::step`]).
+//! Every [`Replica`] of one estimator starts from the same state and applies
+//! the same elements in the same order, so all of them stay identical; each
+//! one counts only its own chunk of every batch ([`Replica::step`]).
 //!
 //! Spawning operating-system threads for every mini-batch costs hundreds of
 //! microseconds per batch — more than the per-edge work of a small batch —
@@ -16,103 +14,14 @@
 //! reporting its chunk, so once every report is in, the pool again owns the
 //! vector outright and hands it back as the next staging buffer.
 
+use crate::abacus::{Fingerprint, Replica};
 use crate::engine::panic_message;
-use crate::probability::increment;
-use crate::sample_graph::SampleGraph;
 use crate::stats::ProcessingStats;
-use abacus_graph::count_butterflies_with_edge;
-use abacus_sampling::{RandomPairing, RandomPairingState};
-use abacus_stream::{EdgeDelta, StreamElement};
+use abacus_stream::StreamElement;
 use crossbeam::channel::{Receiver, Sender};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// One ABACUS replica: the sample with its Random Pairing policy and RNG.
-#[derive(Debug, Clone)]
-pub(super) struct Replica {
-    pub sample: SampleGraph,
-    pub policy: RandomPairing,
-    pub rng: StdRng,
-}
-
-/// A cheap digest of a replica's state: its Random Pairing triplet, sample
-/// size and RNG words.  Lock-step replicas report equal fingerprints after
-/// every batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct Fingerprint {
-    triplet: RandomPairingState,
-    sample_len: usize,
-    rng: [u64; 4],
-}
-
-impl Replica {
-    /// An empty replica with budget `k` and an RNG seeded with `seed`.
-    pub fn new(budget: usize, seed: u64) -> Self {
-        Replica {
-            sample: SampleGraph::with_budget(budget),
-            policy: RandomPairing::new(budget),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// This replica's [`Fingerprint`].
-    pub fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            triplet: self.policy.state(),
-            sample_len: self.sample.len(),
-            rng: self.rng.state(),
-        }
-    }
-
-    /// Hands `element` to Random Pairing, which decides whether the sample
-    /// changes (Algorithm 1, step 2).
-    fn update(&mut self, element: StreamElement) {
-        match element.delta {
-            EdgeDelta::Insert => self
-                .policy
-                .insert(element.edge, &mut self.sample, &mut self.rng),
-            EdgeDelta::Delete => {
-                self.policy.delete(&element.edge, &mut self.sample);
-            }
-        }
-    }
-
-    /// Runs ABACUS's count-then-update step over every element of `batch`,
-    /// counting only the elements in `range`: each of those is counted
-    /// against the sample as of the previous element, and `add` receives its
-    /// signed, extrapolated increment (Eq. 1) when it discovered butterflies
-    /// — the values ABACUS adds to its estimate, in stream order.
-    ///
-    /// Returns the work counters of the counted elements.
-    pub fn step(
-        &mut self,
-        batch: &[StreamElement],
-        range: Range<usize>,
-        mut add: impl FnMut(f64),
-    ) -> ProcessingStats {
-        let mut stats = ProcessingStats::default();
-        for &element in &batch[..range.start] {
-            self.update(element);
-        }
-        for &element in &batch[range.clone()] {
-            let per_edge = count_butterflies_with_edge(&self.sample, element.edge);
-            let is_insert = element.delta.is_insert();
-            if per_edge.butterflies > 0 {
-                let budget = self.policy.budget();
-                add(increment(budget, self.policy.state(), is_insert) * per_edge.butterflies as f64);
-            }
-            stats.record_element(is_insert, per_edge.butterflies, per_edge.comparisons);
-            self.update(element);
-        }
-        for &element in &batch[range.end..] {
-            self.update(element);
-        }
-        stats
-    }
-}
 
 /// One worker's share of a mini-batch: step its replica through the whole
 /// batch, counting the elements in `range`.
@@ -363,8 +272,8 @@ mod tests {
             let result = execute_task(&mut replica, task_for(batch.clone(), range.clone()));
             assert_eq!(result.fingerprint, full.fingerprint, "{range:?}");
             assert_eq!(
-                replica.sample.edges(),
-                reference.sample.edges(),
+                replica.sample().edges(),
+                reference.sample().edges(),
                 "{range:?}"
             );
             assert_eq!(result.stats.elements, range.len() as u64, "{range:?}");

@@ -14,12 +14,8 @@
 //! * [`peredge`] — the per-edge butterfly counting kernel shared by the exact
 //!   oracle, ABACUS, and the FLEET baseline (Algorithm 1, lines 7–11 of the
 //!   paper),
-//! * [`intersect`] — set-intersection primitives with comparison accounting
-//!   (used for the load-balance experiment, Fig. 10): the probe kernel over
-//!   adjacency sets and the adaptive sorted-slice kernels of the CSR
-//!   snapshot (two-pointer merge / galloping search),
-//! * [`csr`] — the frozen CSR counting snapshot the estimators intersect
-//!   against in their per-edge hot loop,
+//! * [`intersect`] — the set-intersection kernel over adjacency sets, with
+//!   the comparison accounting of the load-balance experiment (Fig. 10),
 //! * [`fxhash`] — a fast, DoS-insensitive hasher for integer keys (the
 //!   `rustc-hash` algorithm re-implemented locally),
 //! * [`persist`] — the persistence primitives (typed errors, CRC32, the
@@ -37,7 +33,6 @@ pub mod adjacency;
 pub mod bipartite;
 pub mod bitruss;
 pub mod clustering;
-pub mod csr;
 pub mod edge;
 pub mod exact;
 pub mod fxhash;
@@ -51,7 +46,6 @@ pub use adjacency::AdjacencySet;
 pub use bipartite::BipartiteGraph;
 pub use bitruss::{bitruss_decomposition, peel_from_supports, BitrussDecomposition};
 pub use clustering::{butterfly_clustering_coefficient, count_caterpillars, ClusteringState};
-pub use csr::CsrSnapshot;
 pub use edge::{Edge, EdgeKey};
 pub use exact::{count_butterflies, count_butterflies_per_left_vertex, ExactCounts};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};

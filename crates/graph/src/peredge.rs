@@ -7,8 +7,8 @@
 //! (excluding `u`) completes the butterfly `{u, v, w, x}` through the edges
 //! `{u, w}`, `{w, x}`, `{x, v}`.
 //!
-//! ABACUS runs this kernel against its bounded sample (or the CSR snapshot
-//! view of it), PARABACUS against each lock-step replica's sample, the
+//! ABACUS runs this kernel against its bounded sample, PARABACUS against
+//! each lock-step replica's sample, the
 //! exact oracle against the full graph, and FLEET against its reservoir —
 //! hence the kernel is generic over the [`NeighborhoodView`] trait instead
 //! of a concrete graph type.
@@ -43,8 +43,8 @@ use crate::fxhash::FxHashMap;
 use crate::intersect::IntersectionResult;
 use crate::vertex::VertexRef;
 
-/// Read-only access to vertex neighborhoods, abstracting over the full graph,
-/// the bounded sample, and the CSR snapshot view of it.
+/// Read-only access to vertex neighborhoods, abstracting over the full graph
+/// and the bounded sample.
 pub trait NeighborhoodView {
     /// Degree of `v` in the view (0 if absent).
     fn view_degree(&self, v: VertexRef) -> usize;
@@ -249,8 +249,7 @@ pub fn count_butterflies_with_edge_choice<G: NeighborhoodView + ?Sized>(
 ///
 /// `N(u)` and `N(v)` are resolved once per call and each `N(w)` once per
 /// wedge, so no membership probe pays a vertex lookup.  Each wedge iterates
-/// the smaller of `N(w)` and `N(v)` and probes the other, the rule of
-/// [`intersect_into`](crate::intersect::intersect_into).
+/// the smaller of `N(w)` and `N(v)` and probes the other.
 pub fn for_each_butterfly_with_edge(
     graph: &BipartiteGraph,
     edge: Edge,

@@ -7,14 +7,10 @@
 //! sampling policy only needs four operations: insert, remove, replace a
 //! uniformly random victim, and report the size.
 //!
-//! Because the policy is generic over this trait, stores compose by
-//! *wrapping*: `abacus-core` drives the same policy through a mirroring
-//! wrapper (`MirroredSample`, which keeps ABACUS's frozen CSR counting
-//! snapshot in lock-step with the sample).
-//! Wrappers must preserve the exact state transitions — and, for
-//! [`store_replace_random`](SampleStore::store_replace_random), the exact
-//! RNG consumption — of the store they wrap, so that sampling decisions are
-//! bit-for-bit reproducible whichever wrapper is active.
+//! Because the policy is generic over this trait, one Random Pairing
+//! implementation drives both the bipartite
+//! [`SampleGraph`](crate::SampleGraph) and the reference
+//! [`VecSampleStore`] of the unit tests.
 
 use rand::{Rng, RngExt};
 
