@@ -161,7 +161,7 @@ impl std::fmt::Display for ViewKind {
 /// its support-reading views share.
 ///
 /// The circuit is itself a [`ButterflyCounter`], so it slots into every
-/// driver in the workspace (sources, monitors, the CLI, the bench harness)
+/// driver in the workspace (sources, the CLI, the bench harness)
 /// wherever the bare estimator would.  `estimate`/`finish` delegate to the
 /// wrapped estimator; `memory_edges` additionally charges the authoritative
 /// graph the views fold against and the per-edge support map, one entry per
@@ -547,12 +547,13 @@ impl<C: ButterflyCounter + 'static> ButterflyCounter for Circuit<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Abacus, AbacusConfig, ExactCounter, WindowedMonitor};
+    use crate::{Abacus, AbacusConfig, ExactCounter, ParAbacus, ParAbacusConfig};
     use abacus_graph::Edge;
     use abacus_graph::{
         bitruss_decomposition, butterfly_clustering_coefficient, EdgeSupports,
         VertexButterflyCounts,
     };
+    use abacus_metrics::AnomalySeries;
     use abacus_stream::StreamElement;
 
     fn scripted_stream() -> Vec<StreamElement> {
@@ -669,11 +670,14 @@ mod tests {
         assert!(reports.iter().all(|(_, lines)| !lines.is_empty()));
     }
 
+    /// The reference is a windowed monitor written out: a bare series fed
+    /// bare ABACUS's estimate after every element, then a forced snapshot
+    /// of the finished estimate.
     #[test]
     fn anomaly_view_matches_the_windowed_monitor_bit_for_bit() {
         // A *valid* stream (no duplicate inserts / absent deletes): the
-        // sampling estimators assert stream validity, and the monitor parity
-        // must hold on exactly the streams they accept.
+        // sampling estimators assert stream validity, and the parity must
+        // hold on exactly the streams they accept.
         let mut stream = Vec::new();
         for l in 0..3u32 {
             for r in 10..13u32 {
@@ -689,14 +693,86 @@ mod tests {
             .with_view(Box::new(AnomalyView::new(window)));
         circuit.process_stream(&stream);
 
-        let mut monitor =
-            WindowedMonitor::new(Abacus::new(AbacusConfig::new(64).with_seed(9)), window);
-        monitor.process_stream(&stream);
-        monitor.snapshot_now();
+        let mut bare = Abacus::new(AbacusConfig::new(64).with_seed(9));
+        let mut reference = AnomalySeries::new(window);
+        for &element in &stream {
+            bare.process(element);
+            reference.observe(bare.estimate());
+        }
+        reference.force_snapshot(bare.finish());
 
         let view = circuit.view_state::<AnomalyView>().unwrap();
-        assert_eq!(view.series().snapshots(), monitor.snapshots());
+        assert_eq!(view.series().snapshots(), reference.snapshots());
         assert!(!view.series().snapshots().is_empty());
+    }
+
+    #[test]
+    fn burst_detector_flags_a_planted_spike() {
+        // Quiet background: a matching, whose edges share no vertex and so
+        // form no butterflies.
+        let mut stream: Vec<StreamElement> = (0..500u32)
+            .map(|i| StreamElement::insert(Edge::new(i, i)))
+            .collect();
+        // Spike: a K_{8,8} (64 edges, more than one full window) right after
+        // the quiet phase.
+        for l in 0..8u32 {
+            for r in 0..8u32 {
+                stream.push(StreamElement::insert(Edge::new(10_000 + l, 20_000 + r)));
+            }
+        }
+        let mut circuit = Circuit::new(Abacus::new(AbacusConfig::new(10_000).with_seed(0)))
+            .with_view(Box::new(AnomalyView::new(50).with_burst_factor(5.0)));
+        circuit.process_stream(&stream);
+        let anomalies = circuit
+            .view_state::<AnomalyView>()
+            .unwrap()
+            .series()
+            .anomalous_windows();
+        assert!(
+            !anomalies.is_empty(),
+            "the biclique burst must be flagged as anomalous"
+        );
+        assert!(anomalies.iter().all(|w| w.window >= 10));
+    }
+
+    /// A buffered estimator flushes in `finish`, after the last boundary
+    /// snapshot; the forced snapshot that records the flushed estimate must
+    /// not be swallowed by the empty-window guard.
+    #[test]
+    fn forced_snapshot_records_a_flush_that_moved_the_estimate() {
+        let estimator = ParAbacus::new(
+            ParAbacusConfig::new(1_000)
+                .with_seed(0)
+                .with_batch_size(1_000) // larger than the stream: all buffered
+                .with_threads(2),
+        );
+        let mut circuit = Circuit::new(estimator).with_view(Box::new(AnomalyView::new(10)));
+        let mut stream = Vec::new();
+        for l in 0..5u32 {
+            for r in 0..8u32 {
+                stream.push(StreamElement::insert(Edge::new(l, 1_000 + r)));
+            }
+        }
+        for &element in &stream {
+            circuit.process(element); // 40 elements, 4 windows
+        }
+        let series = circuit.view_state::<AnomalyView>().unwrap().series();
+        assert_eq!(series.snapshots().len(), 4);
+        assert_eq!(
+            series.snapshots()[3].estimate,
+            0.0,
+            "boundary snapshots see the unflushed estimate"
+        );
+        let flushed = circuit.finish();
+        assert!(flushed > 0.0, "finish must flush the batch");
+        let series = circuit.view_state::<AnomalyView>().unwrap().series();
+        assert_eq!(series.snapshots().len(), 5, "the flush must be recorded");
+        assert_eq!(series.snapshots()[4].estimate, flushed);
+        assert_eq!(series.snapshots()[4].elements, 40);
+        // Once recorded, a second finish adds no window.
+        circuit.finish();
+        let series = circuit.view_state::<AnomalyView>().unwrap().series();
+        assert_eq!(series.snapshots().len(), 5);
     }
 
     #[test]

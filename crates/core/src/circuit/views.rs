@@ -227,12 +227,12 @@ impl DeltaView for BitrussView {
 
 /// Windowed estimate series with burst detection (view `anomaly`).
 ///
-/// Feeds the hosting estimator's running estimate into an [`AnomalySeries`]
-/// — the same state behind [`WindowedMonitor`](crate::monitor::WindowedMonitor)
-/// — so registering this view on a circuit produces bit-identical snapshots
-/// to wrapping the same estimator in a monitor.  Unlike the graph-derived
+/// Feeds the hosting estimator's running estimate into an [`AnomalySeries`],
+/// so registering this view on a circuit produces bit-identical snapshots
+/// to feeding a bare series the same estimator's estimate after every
+/// element and forcing a snapshot at `finish`.  Unlike the graph-derived
 /// views it observes *every* stream element (duplicate inserts and absent
-/// deletes included), keeping its windows element-aligned with the monitor.
+/// deletes included), keeping its windows element-aligned with the stream.
 #[derive(Debug)]
 pub struct AnomalyView {
     series: AnomalySeries,

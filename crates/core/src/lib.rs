@@ -54,7 +54,6 @@ pub mod config;
 pub mod engine;
 pub mod exact;
 pub mod local;
-pub mod monitor;
 pub mod parabacus;
 mod persist;
 pub mod probability;
@@ -79,7 +78,6 @@ pub use engine::{
 };
 pub use exact::ExactCounter;
 pub use local::LocalAbacus;
-pub use monitor::{SharedEstimate, WindowedMonitor};
 pub use parabacus::{ParAbacus, PhaseTimings};
 pub use probability::{discovery_probability, increment, variance_upper_bound};
 pub use sample_graph::SampleGraph;

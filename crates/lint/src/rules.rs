@@ -175,8 +175,9 @@ const DETERMINISM_CRATES: [&str; 5] = ["core", "sampling", "graph", "stream", "b
 /// Crates whose `src/` is estimate-affecting for the hash-iteration rule.
 const HASH_ITER_CRATES: [&str; 4] = ["core", "sampling", "graph", "baselines"];
 /// Non-compat workspace crates (must carry `#![forbid(unsafe_code)]` at the
-/// library root).  `bench` ships an unsafe `GlobalAlloc` in a *binary* root,
-/// which is why the forbid requirement targets library roots specifically.
+/// library root).  `tests/ingest_memory.rs` installs an unsafe counting
+/// `GlobalAlloc` in its own test crate, which is why the forbid requirement
+/// targets library roots specifically.
 const NON_COMPAT_CRATES: [&str; 9] = [
     "core",
     "sampling",

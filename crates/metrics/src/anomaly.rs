@@ -8,9 +8,9 @@
 //! flags windows whose delta is a burst relative to the trailing history.
 //!
 //! The series deliberately knows nothing about counters, graphs, or threads —
-//! it consumes a bare `f64` per element — so the same state can back the
-//! `WindowedMonitor` wrapper *and* be registered as a delta-circuit view
-//! (both in `abacus-core`), with bit-identical snapshots either way.
+//! it consumes a bare `f64` per element — so it can back the delta circuit's
+//! anomaly view (`abacus_core::circuit::AnomalyView`) and serve as the
+//! reference that view's parity tests feed a bare estimator's estimates.
 
 /// One recorded window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -243,6 +243,10 @@ mod tests {
 
     #[test]
     fn forced_snapshot_guards_empty_unmoved_windows() {
+        let mut fresh = AnomalySeries::new(5);
+        assert_eq!(fresh.force_snapshot(0.0), None, "nothing observed");
+        assert!(fresh.snapshots().is_empty());
+
         let mut series = AnomalySeries::new(2);
         series.observe(1.0);
         series.observe(2.0); // boundary snapshot at estimate 2.0
@@ -284,6 +288,50 @@ mod tests {
         let anomalies = series.anomalous_windows();
         assert_eq!(anomalies.len(), 1, "{anomalies:?}");
         assert_eq!(anomalies[0].window, 20);
+    }
+
+    /// Regression: the old detector floored the baseline at an absolute 1.0
+    /// butterfly, so a stream whose per-window deltas are all far below one
+    /// butterfly could never alert, however extreme a burst was relative to
+    /// its own history.
+    #[test]
+    fn sub_unit_delta_streams_can_alert() {
+        let mut series = AnomalySeries::new(10).with_burst_factor(8.0);
+        let mut estimate = 0.0;
+        // Quiet background: delta 0.01 per 10-element window.
+        for _ in 0..100 {
+            estimate += 0.001;
+            series.observe(estimate);
+        }
+        // Burst: delta 0.5 for one window, 50x the trailing mean, yet half
+        // a butterfly in absolute terms.
+        for _ in 0..10 {
+            estimate += 0.05;
+            series.observe(estimate);
+        }
+        let anomalies = series.anomalous_windows();
+        assert_eq!(anomalies.len(), 1, "{anomalies:?}");
+        assert_eq!(anomalies[0].window, 10);
+    }
+
+    /// Regression: the old detector used window 0's own delta as its
+    /// baseline, so a burst in the very first window could never be flagged.
+    /// The warm-up baseline (the series median) makes it flaggable.
+    #[test]
+    fn a_spike_in_the_first_window_is_flaggable() {
+        let mut series = AnomalySeries::new(10).with_burst_factor(5.0);
+        let mut estimate = 0.0;
+        for _ in 0..10 {
+            estimate += 0.8; // window 0: delta 8
+            series.observe(estimate);
+        }
+        for _ in 0..80 {
+            estimate += 0.001; // quiet
+            series.observe(estimate);
+        }
+        let anomalies = series.anomalous_windows();
+        assert_eq!(anomalies.len(), 1, "{anomalies:?}");
+        assert_eq!(anomalies[0].window, 0);
     }
 
     #[test]

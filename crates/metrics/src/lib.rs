@@ -11,8 +11,8 @@
 //!   (elements, discoveries, set-intersection probes),
 //! * [`table`] — Markdown and CSV table rendering used by every experiment
 //!   binary to print paper-shaped result tables,
-//! * [`anomaly`] — the windowed estimate series with burst detection shared
-//!   by the `WindowedMonitor` wrapper and the delta-circuit anomaly view,
+//! * [`anomaly`] — the windowed estimate series with burst detection behind
+//!   the delta-circuit anomaly view,
 //! * [`health`] — ensemble health/degradation reporting (quarantine records
 //!   and the degraded-serving summary line).
 

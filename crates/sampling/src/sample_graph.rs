@@ -489,9 +489,10 @@ impl SampleGraph {
     }
 
     /// Approximate heap footprint in bytes (used for memory accounting in
-    /// the space-complexity sanity tests and the `bytes_per_sampled_edge`
-    /// perf_smoke metric).  Counts the interner tables and the adjacency
-    /// slab headers, not just inner set storage.
+    /// the space-complexity sanity tests, the per-edge ceiling of
+    /// `tests/sample_store_memory.rs` and the benchmark's
+    /// `bytes_per_sampled_edge`).  Counts the interner tables and the
+    /// adjacency slab headers, not just inner set storage.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.left.heap_bytes()

@@ -202,9 +202,9 @@ pub trait ButterflyCounter {
 }
 
 /// Boxed counters forward every method to the boxed value, so wrappers
-/// generic over `C: ButterflyCounter` (the delta circuit, the windowed
-/// monitor) can host `Box<dyn ButterflyCounter + Send>` estimators built by
-/// the engine registry without a separate dynamic code path.
+/// generic over `C: ButterflyCounter` (the delta circuit) can host
+/// `Box<dyn ButterflyCounter + Send>` estimators built by the engine
+/// registry without a separate dynamic code path.
 impl<C: ButterflyCounter + ?Sized> ButterflyCounter for Box<C> {
     fn process(&mut self, element: StreamElement) {
         (**self).process(element);

@@ -54,7 +54,7 @@ pub mod prelude {
     pub use abacus_core::{
         Abacus, AbacusConfig, ButterflyCounter, Circuit, Ensemble, EnsembleMode, EnsembleSummary,
         EstimatorKind, EstimatorSpec, ExactCounter, LocalAbacus, ParAbacus, ParAbacusConfig,
-        SnapshotMode, ViewKind, WindowedMonitor,
+        SnapshotMode, ViewKind,
     };
     pub use abacus_graph::{count_butterflies, BipartiteGraph, Edge, GraphStatistics};
     pub use abacus_metrics::{relative_error, relative_error_percent, Throughput};

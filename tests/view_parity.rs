@@ -10,6 +10,7 @@ use abacus_graph::{
     bitruss_decomposition, butterfly_clustering_coefficient, ClusteringState, EdgeSupports,
     VertexButterflyCounts,
 };
+use abacus_metrics::AnomalySeries;
 use abacus_stream::SliceSource;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -258,6 +259,9 @@ fn parabacus_hosted_views_are_chunk_thread_and_depth_invariant() {
     assert_views_match_recompute(&circuit, "parabacus-hosted");
 }
 
+/// The reference is a windowed monitor written out: a bare series fed bare
+/// ABACUS's estimate after every element, then a forced snapshot of the
+/// finished estimate.
 #[test]
 fn anomaly_view_is_bit_identical_to_the_windowed_monitor() {
     let stream = random_stream(31, 3_000, 20, 20, 0.25);
@@ -267,16 +271,20 @@ fn anomaly_view_is_bit_identical_to_the_windowed_monitor() {
         .with_view(Box::new(AnomalyView::new(window)));
     circuit.process_stream(&stream);
 
-    let mut monitor =
-        WindowedMonitor::new(Abacus::new(AbacusConfig::new(500).with_seed(3)), window);
-    monitor.process_stream(&stream);
-    monitor.snapshot_now(); // the circuit's finish() forces the trailing partial window
+    let mut bare = Abacus::new(AbacusConfig::new(500).with_seed(3));
+    let mut reference = AnomalySeries::new(window);
+    for &element in &stream {
+        bare.process(element);
+        reference.observe(bare.estimate());
+    }
+    // The circuit's finish() forces the trailing partial window.
+    reference.force_snapshot(bare.finish());
 
     let series = circuit.view_state::<AnomalyView>().unwrap().series();
-    assert_eq!(series.snapshots(), monitor.snapshots());
+    assert_eq!(series.snapshots(), reference.snapshots());
     assert_eq!(
         series.anomalous_windows(),
-        monitor.anomalous_windows(),
+        reference.anomalous_windows(),
         "burst detection must agree too"
     );
 }
