@@ -54,6 +54,8 @@ pub mod config;
 pub mod engine;
 pub mod exact;
 pub mod local;
+#[cfg(test)]
+mod monitor;
 pub mod parabacus;
 mod persist;
 pub mod probability;

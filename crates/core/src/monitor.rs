@@ -1,172 +1,20 @@
-//! Windowed monitoring of a streaming butterfly estimate.
+//! Tests of windowed monitoring of a streaming butterfly estimate.
 //!
-//! Streaming deployments rarely want only the final count: anomaly detectors
-//! (§I of the paper) watch how the butterfly count *evolves* and alert when a
-//! window's change is abnormal.  [`WindowedMonitor`] wraps any
-//! [`ButterflyCounter`] and feeds its estimate into an
-//! [`AnomalySeries`] — the estimator-agnostic
-//! windowed series in `abacus-metrics` that records a snapshot every `window`
-//! elements and runs the burst detector.  The same series type backs the
-//! delta circuit's anomaly view (`abacus_core::circuit::AnomalyView`), so the
-//! wrapper and the view produce bit-identical snapshots over the same
-//! estimate sequence.  The latest estimate is also published through a
-//! [`SharedEstimate`] handle (a `parking_lot`-guarded cell) so dashboards or
-//! detector threads can read it without touching the estimator itself.
-
-use crate::counter::ButterflyCounter;
-use abacus_metrics::AnomalySeries;
-use abacus_stream::StreamElement;
-use parking_lot::RwLock;
-use std::sync::Arc;
-
-pub use abacus_metrics::WindowSnapshot;
-
-/// A cheap, cloneable handle to the most recent published estimate.
-#[derive(Debug, Clone, Default)]
-pub struct SharedEstimate {
-    inner: Arc<RwLock<f64>>,
-}
-
-impl SharedEstimate {
-    /// Creates a handle initialised to zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reads the last published estimate.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        *self.inner.read()
-    }
-
-    fn publish(&self, value: f64) {
-        *self.inner.write() = value;
-    }
-}
-
-/// Wraps an estimator and records its estimate once per window of stream
-/// elements.
-#[derive(Debug)]
-pub struct WindowedMonitor<C: ButterflyCounter> {
-    counter: C,
-    series: AnomalySeries,
-    shared: SharedEstimate,
-}
-
-impl<C: ButterflyCounter> WindowedMonitor<C> {
-    /// Creates a monitor that snapshots every `window` elements.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn new(counter: C, window: usize) -> Self {
-        WindowedMonitor {
-            counter,
-            series: AnomalySeries::new(window),
-            shared: SharedEstimate::new(),
-        }
-    }
-
-    /// Sets the burst-detection factor (a window is anomalous when its
-    /// absolute delta exceeds `factor ×` the mean absolute delta of the
-    /// preceding windows).  Default: 8.
-    #[must_use]
-    pub fn with_burst_factor(mut self, factor: f64) -> Self {
-        self.series = self.series.with_burst_factor(factor);
-        self
-    }
-
-    /// A cloneable handle to the latest published estimate.
-    #[must_use]
-    pub fn shared_estimate(&self) -> SharedEstimate {
-        self.shared.clone()
-    }
-
-    /// The recorded window snapshots.
-    #[must_use]
-    pub fn snapshots(&self) -> &[WindowSnapshot] {
-        self.series.snapshots()
-    }
-
-    /// The wrapped estimator.
-    #[must_use]
-    pub fn counter(&self) -> &C {
-        &self.counter
-    }
-
-    /// Consumes the monitor and returns the wrapped estimator.
-    #[must_use]
-    pub fn into_counter(self) -> C {
-        self.counter
-    }
-
-    /// Windows whose estimate change is anomalously large compared to the
-    /// trailing history — see
-    /// [`AnomalySeries::anomalous_windows`](abacus_metrics::AnomalySeries::anomalous_windows)
-    /// for the detector's baseline and noise-floor rules.
-    #[must_use]
-    pub fn anomalous_windows(&self) -> Vec<WindowSnapshot> {
-        self.series.anomalous_windows()
-    }
-
-    /// Forces a snapshot of the current partial window.
-    ///
-    /// A no-op when the current window is empty *and* the estimate has not
-    /// moved (see
-    /// [`AnomalySeries::force_snapshot`](abacus_metrics::AnomalySeries::force_snapshot));
-    /// an empty window whose estimate *did* change (a buffered counter like
-    /// PARABACUS flushing on [`finish`](ButterflyCounter::finish)) is still
-    /// recorded, so the flushed value reaches the series and the
-    /// [`SharedEstimate`] handle.
-    pub fn snapshot_now(&mut self) {
-        if let Some(snapshot) = self.series.force_snapshot(self.counter.estimate()) {
-            self.shared.publish(snapshot.estimate);
-        }
-    }
-}
-
-impl<C: ButterflyCounter> ButterflyCounter for WindowedMonitor<C> {
-    fn process(&mut self, element: StreamElement) {
-        self.counter.process(element);
-        if let Some(snapshot) = self.series.observe(self.counter.estimate()) {
-            self.shared.publish(snapshot.estimate);
-        }
-    }
-
-    fn estimate(&self) -> f64 {
-        self.counter.estimate()
-    }
-
-    fn finish(&mut self) -> f64 {
-        // Forward so buffered estimators (PARABACUS) flush through the
-        // monitor; windows stay element-aligned since `process` already ran.
-        self.counter.finish()
-    }
-
-    fn preferred_chunk(&self) -> usize {
-        self.counter.preferred_chunk()
-    }
-
-    fn memory_edges(&self) -> usize {
-        self.counter.memory_edges()
-    }
-
-    fn name(&self) -> &'static str {
-        self.counter.name()
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        self.counter.as_any()
-    }
-}
+//! Monitoring an estimator over windows of stream elements is a
+//! [`Circuit`](crate::Circuit) hosting an
+//! [`AnomalyView`](crate::circuit::AnomalyView): every processed element
+//! feeds the estimator's estimate into the view's `AnomalySeries`, and the
+//! circuit's `finish` forces a snapshot of the last partial window.  These
+//! tests check that path end to end; the series' own rules are tested in
+//! `abacus_metrics::anomaly`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::abacus::Abacus;
-    use crate::config::AbacusConfig;
+    use crate::circuit::AnomalyView;
+    use crate::{Abacus, AbacusConfig, ButterflyCounter, Circuit, ParAbacus, ParAbacusConfig};
     use abacus_graph::Edge;
+    use abacus_metrics::AnomalySeries;
+    use abacus_stream::StreamElement;
 
     fn biclique_stream(lefts: u32, rights: u32) -> Vec<StreamElement> {
         let mut out = Vec::new();
@@ -178,73 +26,62 @@ mod tests {
         out
     }
 
-    #[test]
-    fn snapshots_are_taken_per_window() {
-        let abacus = Abacus::new(AbacusConfig::new(1_000).with_seed(0));
-        let mut monitor = WindowedMonitor::new(abacus, 10);
-        let stream = biclique_stream(5, 8); // 40 elements
-        monitor.process_stream(&stream);
-        assert_eq!(monitor.snapshots().len(), 4);
-        assert_eq!(monitor.snapshots()[3].elements, 40);
-        // Estimates are non-decreasing for an insert-only stream with a
-        // covering budget, and the final one matches the wrapped counter.
-        assert!(monitor
-            .snapshots()
-            .windows(2)
-            .all(|w| w[1].estimate >= w[0].estimate));
-        assert_eq!(
-            monitor.snapshots().last().unwrap().estimate,
-            monitor.estimate()
-        );
-        assert_eq!(monitor.name(), "ABACUS");
-        assert!(monitor.memory_edges() <= 1_000);
+    fn series<C: ButterflyCounter>(circuit: &Circuit<C>) -> &AnomalySeries {
+        circuit.view_state::<AnomalyView>().unwrap().series()
     }
 
     #[test]
-    fn shared_estimate_tracks_published_windows() {
+    fn snapshots_are_taken_per_window() {
         let abacus = Abacus::new(AbacusConfig::new(1_000).with_seed(0));
-        let mut monitor = WindowedMonitor::new(abacus, 5);
-        let handle = monitor.shared_estimate();
-        assert_eq!(handle.get(), 0.0);
-        monitor.process_stream(&biclique_stream(4, 5)); // 20 elements, 4 windows
-        assert_eq!(handle.get(), monitor.estimate());
-        // Handles are clones of the same cell.
-        let another = monitor.shared_estimate();
-        assert_eq!(another.get(), handle.get());
+        let mut circuit = Circuit::new(abacus).with_view(Box::new(AnomalyView::new(10)));
+        let stream = biclique_stream(5, 8); // 40 elements
+        circuit.process_stream(&stream);
+        let snapshots = series(&circuit).snapshots();
+        assert_eq!(snapshots.len(), 4);
+        assert_eq!(snapshots[3].elements, 40);
+        // Estimates are non-decreasing for an insert-only stream with a
+        // covering budget, and the final one matches the wrapped estimator.
+        assert!(snapshots.windows(2).all(|w| w[1].estimate >= w[0].estimate));
+        assert_eq!(snapshots.last().unwrap().estimate, circuit.estimate());
+        assert_eq!(circuit.name(), "ABACUS");
+        // An anomaly-only circuit keeps no graph replica or support map.
+        assert!(circuit.memory_edges() <= 1_000);
     }
 
     #[test]
     fn partial_windows_can_be_snapshotted_manually() {
         let abacus = Abacus::new(AbacusConfig::new(100).with_seed(0));
-        let mut monitor = WindowedMonitor::new(abacus, 1_000);
-        monitor.process_stream(&biclique_stream(3, 3));
-        assert!(monitor.snapshots().is_empty());
-        monitor.snapshot_now();
-        assert_eq!(monitor.snapshots().len(), 1);
-        assert_eq!(monitor.snapshots()[0].elements, 9);
-        let inner = monitor.into_counter();
+        let mut circuit = Circuit::new(abacus).with_view(Box::new(AnomalyView::new(1_000)));
+        for element in biclique_stream(3, 3) {
+            circuit.process(element);
+        }
+        assert!(series(&circuit).snapshots().is_empty());
+        circuit.finish();
+        assert_eq!(series(&circuit).snapshots().len(), 1);
+        assert_eq!(series(&circuit).snapshots()[0].elements, 9);
+        let inner = circuit.into_estimator();
         assert_eq!(inner.estimate(), 9.0); // K_{3,3} has 9 butterflies
     }
 
     #[test]
     fn burst_detector_flags_a_planted_spike() {
-        let abacus = Abacus::new(AbacusConfig::new(10_000).with_seed(0));
-        let mut monitor = WindowedMonitor::new(abacus, 50).with_burst_factor(5.0);
-        // Quiet background: star edges that never form butterflies.
-        let mut stream = Vec::new();
-        for i in 0..500u32 {
-            stream.push(StreamElement::insert(Edge::new(i, i)));
-        }
-        // Spike: a dense biclique (64 edges, i.e. more than one full window)
-        // arrives right after the quiet phase.
+        // Quiet background: a matching, whose edges share no vertex and so
+        // form no butterflies.
+        let mut stream: Vec<StreamElement> = (0..500u32)
+            .map(|i| StreamElement::insert(Edge::new(i, i)))
+            .collect();
+        // Spike: a K_{8,8} (64 edges, more than one full window) right after
+        // the quiet phase.
         for l in 0..8u32 {
             for r in 0..8u32 {
                 stream.push(StreamElement::insert(Edge::new(10_000 + l, 20_000 + r)));
             }
         }
-        monitor.process_stream(&stream);
-        monitor.snapshot_now();
-        let anomalies = monitor.anomalous_windows();
+        let abacus = Abacus::new(AbacusConfig::new(10_000).with_seed(0));
+        let mut circuit =
+            Circuit::new(abacus).with_view(Box::new(AnomalyView::new(50).with_burst_factor(5.0)));
+        circuit.process_stream(&stream);
+        let anomalies = series(&circuit).anomalous_windows();
         assert!(
             !anomalies.is_empty(),
             "the biclique burst must be flagged as anomalous"
@@ -252,43 +89,46 @@ mod tests {
         assert!(anomalies.iter().all(|w| w.window >= 10));
     }
 
-    #[test]
-    #[should_panic(expected = "window")]
-    fn zero_window_panics() {
-        let abacus = Abacus::new(AbacusConfig::new(10));
-        let _ = WindowedMonitor::new(abacus, 0);
-    }
-
-    /// Regression (follow-up to the empty-window no-op): a *buffered*
-    /// counter's flush happens in `finish`, after the last boundary
-    /// snapshot.  The forced snapshot that makes the flushed estimate
-    /// visible must not be swallowed by the empty-window guard.
+    /// A buffered estimator flushes in `finish`, after the last boundary
+    /// snapshot; the forced snapshot that records the flushed estimate must
+    /// not be swallowed by the empty-window guard.
     #[test]
     fn forced_snapshot_records_a_flush_that_moved_the_estimate() {
-        use crate::parabacus::ParAbacus;
-        let inner = ParAbacus::new(
-            crate::config::ParAbacusConfig::new(1_000)
+        let estimator = ParAbacus::new(
+            ParAbacusConfig::new(1_000)
                 .with_seed(0)
                 .with_batch_size(1_000) // larger than the stream: all buffered
                 .with_threads(2),
         );
-        let mut monitor = WindowedMonitor::new(inner, 10);
-        let handle = monitor.shared_estimate();
-        monitor.process_stream(&biclique_stream(5, 8)); // 40 elements, 4 windows
-                                                        // Boundary snapshots saw the unflushed (zero) estimate; the
-                                                        // process_stream driver's finish() then flushed the batch.
-        assert_eq!(monitor.snapshots().len(), 4);
-        assert_eq!(monitor.snapshots()[3].estimate, 0.0);
-        let flushed = monitor.estimate();
-        assert!(flushed > 0.0, "finish must have flushed the batch");
-        monitor.snapshot_now();
-        assert_eq!(monitor.snapshots().len(), 5, "the flush must be recordable");
-        assert_eq!(monitor.snapshots()[4].estimate, flushed);
-        assert_eq!(monitor.snapshots()[4].elements, 40);
-        assert_eq!(handle.get(), flushed);
-        // Once recorded, repeating the forced snapshot is a no-op again.
-        monitor.snapshot_now();
-        assert_eq!(monitor.snapshots().len(), 5);
+        let mut circuit = Circuit::new(estimator).with_view(Box::new(AnomalyView::new(10)));
+        for element in biclique_stream(5, 8) {
+            circuit.process(element); // 40 elements, 4 windows
+        }
+        assert_eq!(series(&circuit).snapshots().len(), 4);
+        assert_eq!(
+            series(&circuit).snapshots()[3].estimate,
+            0.0,
+            "boundary snapshots see the unflushed estimate"
+        );
+        let flushed = circuit.finish();
+        assert!(flushed > 0.0, "finish must flush the batch");
+        assert_eq!(
+            series(&circuit).snapshots().len(),
+            5,
+            "the flush must be recorded"
+        );
+        assert_eq!(series(&circuit).snapshots()[4].estimate, flushed);
+        assert_eq!(series(&circuit).snapshots()[4].elements, 40);
+        // Once recorded, a second finish adds no window.
+        circuit.finish();
+        assert_eq!(series(&circuit).snapshots().len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "window")]
+    fn zero_window_panics() {
+        let abacus = Abacus::new(AbacusConfig::new(10));
+        let _ = Circuit::new(abacus).with_view(Box::new(AnomalyView::new(0)));
     }
 
     /// A counter whose estimate grows by `left / 1000` per element, so tests
@@ -312,61 +152,18 @@ mod tests {
         }
     }
 
-    /// Regression: the old detector floored the baseline at an absolute 1.0
-    /// butterfly, so a stream whose per-window deltas are all far below one
-    /// butterfly could never alert regardless of how extreme a burst was
-    /// relative to its own history.
-    #[test]
-    fn sub_unit_delta_streams_can_alert() {
-        let mut monitor =
-            WindowedMonitor::new(ScriptedCounter { estimate: 0.0 }, 10).with_burst_factor(8.0);
-        let mut stream = Vec::new();
-        // Quiet background: delta 0.01 per 10-element window.
-        for i in 0..100u32 {
-            stream.push(StreamElement::insert(Edge::new(1, i)));
-        }
-        // Burst: delta 0.5 for one window — 50x the trailing mean, yet half
-        // a butterfly in absolute terms.
-        for i in 0..10u32 {
-            stream.push(StreamElement::insert(Edge::new(50, 1_000 + i)));
-        }
-        monitor.process_stream(&stream);
-        let anomalies = monitor.anomalous_windows();
-        assert_eq!(anomalies.len(), 1, "{anomalies:?}");
-        assert_eq!(anomalies[0].window, 10);
-    }
-
-    /// Regression: the old detector used window 0's own delta as its
-    /// baseline, so a burst arriving in the very first window was
-    /// structurally unflaggable.  The warm-up baseline (series median)
-    /// restores it.
-    #[test]
-    fn a_spike_in_the_first_window_is_flaggable() {
-        let mut monitor =
-            WindowedMonitor::new(ScriptedCounter { estimate: 0.0 }, 10).with_burst_factor(5.0);
-        let mut stream = Vec::new();
-        for i in 0..10u32 {
-            stream.push(StreamElement::insert(Edge::new(800, i))); // window 0: delta 8
-        }
-        for i in 0..80u32 {
-            stream.push(StreamElement::insert(Edge::new(1, 100 + i))); // quiet
-        }
-        monitor.process_stream(&stream);
-        let anomalies = monitor.anomalous_windows();
-        assert_eq!(anomalies.len(), 1, "{anomalies:?}");
-        assert_eq!(anomalies[0].window, 0);
-    }
-
     /// A flat series must stay quiet: every window matches the warm-up
     /// median and the trailing mean exactly.
     #[test]
     fn uniform_series_raises_no_anomalies() {
-        let mut monitor = WindowedMonitor::new(ScriptedCounter { estimate: 0.0 }, 10);
+        let mut circuit = Circuit::new(ScriptedCounter { estimate: 0.0 })
+            .with_view(Box::new(AnomalyView::new(10)));
         let stream: Vec<StreamElement> = (0..120u32)
             .map(|i| StreamElement::insert(Edge::new(5, i)))
             .collect();
-        monitor.process_stream(&stream);
-        assert!(monitor.anomalous_windows().is_empty());
+        circuit.process_stream(&stream);
+        assert_eq!(series(&circuit).snapshots().len(), 12);
+        assert!(series(&circuit).anomalous_windows().is_empty());
     }
 
     /// Regression: a forced snapshot right after a stream whose length is an
@@ -375,24 +172,26 @@ mod tests {
     #[test]
     fn forced_snapshots_of_empty_windows_are_no_ops() {
         let abacus = Abacus::new(AbacusConfig::new(1_000).with_seed(0));
-        let mut monitor = WindowedMonitor::new(abacus, 10);
-        monitor.process_stream(&biclique_stream(5, 8)); // 40 elements: 4 windows
-        assert_eq!(monitor.snapshots().len(), 4);
-        monitor.snapshot_now();
+        let mut circuit = Circuit::new(abacus).with_view(Box::new(AnomalyView::new(10)));
+        // 40 elements: 4 windows, then `process_stream`'s own `finish`.
+        circuit.process_stream(&biclique_stream(5, 8));
+        assert_eq!(series(&circuit).snapshots().len(), 4);
+        circuit.finish();
         assert_eq!(
-            monitor.snapshots().len(),
+            series(&circuit).snapshots().len(),
             4,
             "empty forced snapshot must not append a duplicate window"
         );
-        // A brand-new monitor with nothing processed records nothing either.
-        let mut empty = WindowedMonitor::new(Abacus::new(AbacusConfig::new(10)), 5);
-        empty.snapshot_now();
-        assert!(empty.snapshots().is_empty());
+        // A brand-new circuit with nothing processed records nothing either.
+        let mut empty = Circuit::new(Abacus::new(AbacusConfig::new(10)))
+            .with_view(Box::new(AnomalyView::new(5)));
+        empty.finish();
+        assert!(series(&empty).snapshots().is_empty());
         // A genuine partial window still snapshots (and only once).
-        monitor.process(StreamElement::insert(Edge::new(99, 1_099)));
-        monitor.snapshot_now();
-        monitor.snapshot_now();
-        assert_eq!(monitor.snapshots().len(), 5);
-        assert_eq!(monitor.snapshots()[4].elements, 41);
+        circuit.process(StreamElement::insert(Edge::new(99, 1_099)));
+        circuit.finish();
+        circuit.finish();
+        assert_eq!(series(&circuit).snapshots().len(), 5);
+        assert_eq!(series(&circuit).snapshots()[4].elements, 41);
     }
 }
