@@ -10,6 +10,7 @@
 use super::{parse_ensemble, WorkloadInput};
 use crate::args::Arguments;
 use crate::error::CliError;
+use abacus_baselines::{Cas, Fleet};
 use abacus_core::engine::{Checkpointer, Ensemble, EnsembleSupervisor, RunManifest};
 use abacus_core::ButterflyCounter;
 use abacus_metrics::{relative_error_percent, Throughput};
@@ -125,16 +126,17 @@ pub fn run(args: &Arguments) -> Result<String, CliError> {
         throughput.per_second(),
     );
     // With `--views` the counter is a delta circuit wrapping the estimator
-    // (or the ensemble); reach through it for the ensemble line and append
-    // one report line per subscribed view.
+    // (or the ensemble); reach through it for the ensemble and deletion
+    // lines and append one report line per subscribed view.
     let circuit = counter
         .as_any()
         .and_then(|any| any.downcast_ref::<super::BoxedCircuit>());
-    let ensemble_any = match circuit {
+    let estimator_any = match circuit {
         Some(circuit) => circuit.estimator().as_any(),
         None => counter.as_any(),
     };
-    if let Some(ensemble) = ensemble_any.and_then(|any| any.downcast_ref::<Ensemble>()) {
+    push_ignored_deletions_line(&mut report, estimator_any);
+    if let Some(ensemble) = estimator_any.and_then(|any| any.downcast_ref::<Ensemble>()) {
         report.push_str(&format!(
             "ensemble:         {} x {} over {} (per-replica budget {})\n",
             ensemble.replicas(),
@@ -177,6 +179,25 @@ fn push_view_lines(report: &mut String, circuit: &super::BoxedCircuit) {
         }
     }
     report.push_str(&format!("views report:     {seconds:.3}s\n"));
+}
+
+/// Appends a `deletions:` line when the estimator is FLEET or CAS and
+/// dropped deletions: both are insert-only, so their estimate counts every
+/// deleted edge as still present.
+fn push_ignored_deletions_line(report: &mut String, estimator: Option<&dyn std::any::Any>) {
+    let ignored = estimator.and_then(|any| {
+        any.downcast_ref::<Fleet>()
+            .map(|fleet| ("FLEET", fleet.ignored_deletions()))
+            .or_else(|| {
+                any.downcast_ref::<Cas>()
+                    .map(|cas| ("CAS", cas.ignored_deletions()))
+            })
+    });
+    if let Some((name, count)) = ignored.filter(|&(_, count)| count > 0) {
+        report.push_str(&format!(
+            "deletions:        {count} ignored ({name} is insert-only; deleted edges still count)\n"
+        ));
+    }
 }
 
 /// Appends the ensemble health block to a report: nothing when every
@@ -377,11 +398,12 @@ pub(crate) fn checkpoint_report(
     let circuit = counter
         .as_any()
         .and_then(|any| any.downcast_ref::<super::BoxedCircuit>());
-    let ensemble_any = match circuit {
+    let estimator_any = match circuit {
         Some(circuit) => circuit.estimator().as_any(),
         None => counter.as_any(),
     };
-    if let Some(ensemble) = ensemble_any.and_then(|any| any.downcast_ref::<Ensemble>()) {
+    push_ignored_deletions_line(&mut report, estimator_any);
+    if let Some(ensemble) = estimator_any.and_then(|any| any.downcast_ref::<Ensemble>()) {
         report.push_str(&format!(
             "ensemble:         {} x {} over {} (per-replica budget {})\n",
             ensemble.replicas(),
@@ -926,6 +948,48 @@ mod tests {
         }
         write_stream_to_path(&stream, &path).unwrap();
         path
+    }
+
+    #[test]
+    fn insert_only_estimators_report_the_deletions_they_ignored() {
+        let path = mixed_file("ignored_deletions.txt");
+        let path_str = path.to_str().unwrap();
+        let report = |algorithm: &str, views: Option<&str>| {
+            let mut parts = vec!["--input", path_str, "--algorithm", algorithm];
+            if let Some(views) = views {
+                parts.extend(["--views", views]);
+            }
+            run(&args(&parts)).unwrap()
+        };
+        // 500 inserts followed by 167 deletions: FLEET and CAS drop every
+        // deletion and say so, directly and through a views circuit.
+        for (algorithm, name) in [("fleet", "FLEET"), ("cas", "CAS")] {
+            for views in [None, Some("vertex")] {
+                let out = report(algorithm, views);
+                assert!(
+                    out.contains(&format!(
+                        "deletions:        167 ignored ({name} is insert-only; \
+                         deleted edges still count)"
+                    )),
+                    "{algorithm} {views:?}: {out}"
+                );
+            }
+        }
+        // Estimators that process deletions print no such line.
+        assert!(!report("abacus", None).contains("deletions:"));
+        std::fs::remove_file(&path).ok();
+
+        // Nor does an insert-only estimator on an insert-only stream.
+        let path = biclique_file("k33_insert_only.txt");
+        let out = run(&args(&[
+            "--input",
+            path.to_str().unwrap(),
+            "--algorithm",
+            "fleet",
+        ]))
+        .unwrap();
+        assert!(!out.contains("deletions:"), "{out}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

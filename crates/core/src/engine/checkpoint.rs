@@ -506,14 +506,6 @@ impl Checkpointer {
         })
     }
 
-    /// Returns the checkpointer with a different bounded-retry policy for
-    /// transient WAL/watermark I/O failures.
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Recovers a checkpointed run: loads the newest valid snapshot (falling
     /// back to the previous one if the newest is torn or corrupt), replays
     /// the WAL from its position — re-performing checkpoints at cadence

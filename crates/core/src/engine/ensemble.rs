@@ -1,26 +1,41 @@
-//! [`Ensemble`]: K independent estimator replicas behind one
-//! [`ButterflyCounter`] face.
+//! K estimator replicas run as one: the [`Ensemble`] driver, and the replica
+//! set it shares with the durable [`EnsembleSupervisor`].
 //!
 //! The single-instance estimators bound their variance only through the
-//! memory budget.  An ensemble adds a second, horizontally scalable axis:
+//! memory budget.  An ensemble adds a second, horizontally scalable axis,
+//! chosen by [`EnsembleMode`]:
 //!
-//! * **Replicate mode** — every replica sees the *full* stream with an
+//! * **Replicate** — every replica sees the *full* stream with an
 //!   independently derived seed; the ensemble estimate is the **mean** of
 //!   the replica estimates.  Replicas are i.i.d., so averaging K of them
-//!   cuts the estimator variance by ~K at the cost of K× the memory and
-//!   work — the classic multi-sample trick of FLEET-style sketches.  The
-//!   replica spread is surfaced as a sample standard deviation and a 95%
-//!   confidence interval ([`Ensemble::replicate_summary`]), which the bare
-//!   estimators cannot provide from a single run.
-//! * **Partition mode** — each edge is hash-routed to exactly **one**
-//!   replica (deletions follow their insertions, since routing is a pure
-//!   function of the edge), and the ensemble estimate is the **sum** of the
-//!   per-shard estimates.  Memory and work shard K ways, but a butterfly is
-//!   only observed if all four of its edges landed in the same shard:
-//!   partition estimates are *per-shard local counts* and systematically
-//!   miss cross-shard butterflies.  Partition mode is therefore a
-//!   throughput/locality tool, not an unbiased global estimator — the
-//!   trade-off is documented rather than hidden.
+//!   cuts the estimator variance by ~K at K× the memory and work, and their
+//!   spread gives a sample standard deviation and a 95% confidence interval
+//!   ([`Ensemble::replicate_summary`]) that one bare run cannot provide.
+//! * **Partition** — each edge is hash-routed to exactly **one** replica
+//!   (deletions follow their insertions, since routing is a pure function of
+//!   the edge), and the ensemble estimate is the **sum** of the per-shard
+//!   estimates.  Memory and work shard K ways, but a butterfly is only
+//!   observed if all four of its edges land in one shard: partition
+//!   estimates are *per-shard local counts* and miss cross-shard
+//!   butterflies.  It is a throughput tool, not an unbiased global
+//!   estimator.
+//!
+//! Which replicas take an element and how the healthy estimates merge are
+//! decided by [`EnsembleMode`] alone.  Everything else an ensemble does per
+//! replica lives in one crate-private replica set, generic over the replica
+//! (a bare estimator here, a [`Checkpointer`] under the supervisor): one loop
+//! runs a replica over the elements routed to it under `catch_unwind` and
+//! fires its injected faults, and one ledger records quarantines and yields
+//! the health report, the merged estimate and the replica-spread summary.
+//!
+//! # Fault containment
+//!
+//! A replica that panics, or exhausts its retry budget on an injected
+//! transient I/O fault, is **quarantined** at the element it failed on:
+//! recorded in the [`HealthReport`], excluded from every merge and summary,
+//! and never fed again, while the other replicas keep serving a degraded
+//! estimate.  Its state stays in its slot.  Only the supervisor's replicas
+//! can rejoin, because only they have a checkpoint to recover from.
 //!
 //! # Exactness discipline
 //!
@@ -29,11 +44,13 @@
 //! ([`derive_seed`]`(base, 0) == base`), every element reaches the replica's
 //! `process` in stream order, and the single `finish` happens at the end of
 //! the source — exactly the contract of the bare driver.  Fan-out threads
-//! never change results either: each replica is owned by exactly one worker
-//! per chunk and processes its elements sequentially, and estimates are
-//! merged in replica-index order, so the merged estimate is bit-reproducible
-//! across thread counts and interleavings.  Both properties are asserted by
+//! never change results either, faults or not: each replica is owned by one
+//! worker per chunk and processes its elements in order, and estimates merge
+//! in replica-index order.  Both properties are asserted by
 //! `tests/ensemble_parity.rs`.
+//!
+//! [`EnsembleSupervisor`]: crate::engine::EnsembleSupervisor
+//! [`Checkpointer`]: crate::engine::Checkpointer
 
 use crate::counter::ButterflyCounter;
 use crate::engine::error::panic_message;
@@ -85,6 +102,33 @@ impl EnsembleMode {
             _ => Err(Self::EXPECTED_NAMES),
         }
     }
+
+    /// Whether replica `replica` of `replicas` takes `element`: every
+    /// replica under replicate; under partition, the one shard a splitmix64
+    /// avalanche of the packed edge key picks mod K.  Purely a function of
+    /// the edge, so a deletion always follows its insertion.
+    pub(crate) fn takes(self, element: StreamElement, replica: usize, replicas: usize) -> bool {
+        match self {
+            EnsembleMode::Replicate => true,
+            // Full-width avalanche so shard occupancy is balanced even for
+            // the generators' sequential vertex ids.
+            EnsembleMode::Partition => {
+                splitmix64(element.edge.key().0) % replicas as u64 == replica as u64
+            }
+        }
+    }
+
+    /// Merges the summed estimates of `healthy` replicas: their mean under
+    /// replicate, their sum under partition.  No healthy replica merges to
+    /// 0.0 — degradation is surfaced through the health report, never
+    /// through a NaN.
+    fn merge(self, sum: f64, healthy: usize) -> f64 {
+        match self {
+            _ if healthy == 0 => 0.0,
+            EnsembleMode::Replicate => sum / healthy as f64,
+            EnsembleMode::Partition => sum,
+        }
+    }
 }
 
 impl std::str::FromStr for EnsembleMode {
@@ -116,6 +160,271 @@ pub struct EnsembleSummary {
     pub ci95_half_width: f64,
 }
 
+/// What a replica set drives: an estimator that takes elements, failing
+/// only on persistence, and exposes its counter for reads.
+pub(crate) trait Replica {
+    /// Processes one element.
+    fn offer(&mut self, element: StreamElement) -> Result<(), PersistError>;
+    /// The live estimator.
+    fn counter(&self) -> &dyn ButterflyCounter;
+}
+
+impl Replica for Box<dyn ButterflyCounter + Send> {
+    fn offer(&mut self, element: StreamElement) -> Result<(), PersistError> {
+        self.process(element);
+        Ok(())
+    }
+
+    fn counter(&self) -> &dyn ButterflyCounter {
+        &**self
+    }
+}
+
+/// One replica and its quarantine record (`Some` ⇒ out of service).
+struct Slot<R> {
+    replica: R,
+    quarantine: Option<(u64, ReplicaError)>,
+}
+
+/// K replicas with their quarantine ledger and armed faults.
+pub(crate) struct ReplicaSet<R> {
+    mode: EnsembleMode,
+    slots: Vec<Slot<R>>,
+    /// Injected faults; each fires when its replica reaches its element.
+    faults: Vec<ReplicaFault>,
+    /// Retry budget for injected transient I/O faults.
+    retry: RetryPolicy,
+    /// Global index of the next element.
+    position: u64,
+}
+
+impl<R: Replica> ReplicaSet<R> {
+    /// A set whose next element has global index `position`.
+    pub(crate) fn new(
+        mode: EnsembleMode,
+        replicas: impl IntoIterator<Item = R>,
+        retry: RetryPolicy,
+        position: u64,
+    ) -> Self {
+        let slots = replicas
+            .into_iter()
+            .map(|replica| Slot {
+                replica,
+                quarantine: None,
+            })
+            .collect();
+        ReplicaSet {
+            mode,
+            slots,
+            faults: Vec::new(),
+            retry,
+            position,
+        }
+    }
+
+    pub(crate) fn arm(&mut self, faults: Vec<ReplicaFault>) {
+        self.faults = faults;
+    }
+
+    pub(crate) fn mode(&self) -> EnsembleMode {
+        self.mode
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub(crate) fn position(&self) -> u64 {
+        self.position
+    }
+
+    /// Replica `index`, unless it is quarantined (or out of range).
+    pub(crate) fn get(&self, index: usize) -> Option<&R> {
+        self.slots
+            .get(index)
+            .filter(|slot| slot.quarantine.is_none())
+            .map(|slot| &slot.replica)
+    }
+
+    /// Mutable [`get`](Self::get).
+    pub(crate) fn get_mut(&mut self, index: usize) -> Option<&mut R> {
+        self.slots
+            .get_mut(index)
+            .filter(|slot| slot.quarantine.is_none())
+            .map(|slot| &mut slot.replica)
+    }
+
+    /// The in-service replicas with their indices, in replica order.
+    pub(crate) fn healthy(&self) -> impl Iterator<Item = (usize, &R)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.quarantine.is_none())
+            .map(|(index, slot)| (index, &slot.replica))
+    }
+
+    /// The in-service replicas, mutably, in replica order.
+    pub(crate) fn healthy_mut(&mut self) -> impl Iterator<Item = &mut R> {
+        self.slots
+            .iter_mut()
+            .filter(|slot| slot.quarantine.is_none())
+            .map(|slot| &mut slot.replica)
+    }
+
+    /// Puts `replica` back in service as replica `index`.
+    pub(crate) fn readmit(&mut self, index: usize, replica: R) {
+        self.slots[index] = Slot {
+            replica,
+            quarantine: None,
+        };
+    }
+
+    /// Feeds `chunk` — the elements from the set's position on — to every
+    /// in-service replica, on up to `workers` threads.  Each replica is
+    /// driven by one thread over the whole chunk, so results do not depend
+    /// on `workers`.
+    pub(crate) fn feed(&mut self, chunk: &[StreamElement], workers: usize)
+    where
+        R: Send,
+    {
+        if chunk.is_empty() {
+            return;
+        }
+        let first = self.position;
+        self.position += chunk.len() as u64;
+        let replicas = self.slots.len();
+        let per_worker = replicas.div_ceil(workers.clamp(1, replicas));
+        let (mode, faults, retry) = (self.mode, &self.faults[..], &self.retry);
+        let drive = move |offset: usize, group: &mut [Slot<R>]| {
+            for (index, slot) in (offset..).zip(group) {
+                if slot.quarantine.is_none() {
+                    let routed = (first..)
+                        .zip(chunk.iter().copied())
+                        .filter(|&(_, element)| mode.takes(element, index, replicas));
+                    slot.quarantine =
+                        run_replica(&mut slot.replica, index, routed, faults, retry).err();
+                }
+            }
+        };
+        if per_worker == replicas {
+            drive(0, &mut self.slots);
+        } else {
+            std::thread::scope(|scope| {
+                for (group, slots) in self.slots.chunks_mut(per_worker).enumerate() {
+                    scope.spawn(move || drive(group * per_worker, slots));
+                }
+            });
+        }
+    }
+
+    /// The merged estimate over the in-service replicas.
+    pub(crate) fn estimate(&self) -> f64 {
+        let sum: f64 = self.estimates().sum();
+        self.mode.merge(sum, self.healthy().count())
+    }
+
+    /// The in-service replicas' estimates, in replica order.
+    fn estimates(&self) -> impl Iterator<Item = f64> + '_ {
+        self.healthy()
+            .map(|(_, replica)| replica.counter().estimate())
+    }
+
+    /// Replica-spread statistics over the in-service replicas — replicate
+    /// mode only (partition replicas estimate disjoint shards, so their
+    /// spread is not an error bar).  A degraded set's reduced K honestly
+    /// widens the interval.
+    pub(crate) fn summary(&self) -> Option<EnsembleSummary> {
+        if self.mode != EnsembleMode::Replicate || self.healthy().next().is_none() {
+            return None;
+        }
+        let summary = abacus_metrics::Summary::from_values(self.estimates());
+        let std_dev = summary.std_dev();
+        let std_err = std_dev / (summary.count() as f64).sqrt();
+        Some(EnsembleSummary {
+            mean: summary.mean(),
+            std_dev,
+            std_err,
+            ci95_half_width: 1.96 * std_err,
+        })
+    }
+
+    /// Total sampled edges across the in-service replicas.
+    pub(crate) fn memory_edges(&self) -> usize {
+        self.healthy()
+            .map(|(_, replica)| replica.counter().memory_edges())
+            .sum()
+    }
+
+    /// Replica counts plus one [`QuarantineRecord`] per quarantined replica.
+    pub(crate) fn health(&self) -> HealthReport {
+        let quarantined: Vec<QuarantineRecord> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(replica, slot)| {
+                let (at_element, error) = slot.quarantine.as_ref()?;
+                Some(QuarantineRecord {
+                    replica,
+                    at_element: *at_element,
+                    reason: error.to_string(),
+                })
+            })
+            .collect();
+        HealthReport {
+            total: self.slots.len(),
+            healthy: self.slots.len() - quarantined.len(),
+            quarantined,
+        }
+    }
+}
+
+/// Runs replica `index` over its routed `(global index, element)` pairs,
+/// firing the faults armed for it on the way.  Returns the element and
+/// error it failed on: a panic, injected or organic, or a persistence error
+/// — an injected transient one only once it has exhausted the retry budget.
+fn run_replica<R: Replica>(
+    replica: &mut R,
+    index: usize,
+    routed: impl Iterator<Item = (u64, StreamElement)>,
+    faults: &[ReplicaFault],
+    retry: &RetryPolicy,
+) -> Result<(), (u64, ReplicaError)> {
+    let mut at = 0;
+    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), PersistError> {
+        for (position, element) in routed {
+            at = position;
+            let armed = faults
+                .iter()
+                .find(|fault| fault.replica == index && fault.at == position);
+            match armed.map(|fault| fault.kind) {
+                None => replica.offer(element)?,
+                Some(ReplicaFaultKind::Panic) => {
+                    // lint:allow(panic-policy): deliberate fault injection — caught by the catch_unwind around this loop and turned into a quarantine
+                    panic!("injected replica-worker panic at element {position}");
+                }
+                Some(ReplicaFaultKind::Io { failures }) => {
+                    let mut remaining = failures;
+                    with_retry(retry, |_| {
+                        if remaining > 0 {
+                            remaining -= 1;
+                            return Err(PersistError::Io(std::io::Error::other(format!(
+                                "injected transient replica I/O fault at element {position}"
+                            ))));
+                        }
+                        replica.offer(element)
+                    })?;
+                }
+            }
+        }
+        Ok(())
+    }));
+    match outcome {
+        Ok(Ok(())) => Ok(()),
+        Ok(Err(error)) => Err((at, ReplicaError::Persist(error.to_string()))),
+        Err(caught) => Err((at, ReplicaError::Panicked(panic_message(caught)))),
+    }
+}
+
 /// K estimator replicas driven as one [`ButterflyCounter`].
 ///
 /// Replicas are built once, from per-replica specs whose seeds come from
@@ -144,43 +453,25 @@ pub struct EnsembleSummary {
 /// assert_eq!(ensemble.replicas(), 4);
 /// ```
 ///
-/// # Supervision
+/// # Fault containment
 ///
-/// By default an ensemble is *fail-stop*: a panicking replica propagates,
-/// exactly like the bare estimator it wraps.  Calling
-/// [`with_supervision`](Ensemble::with_supervision) (or
-/// [`with_replica_faults`](Ensemble::with_replica_faults), which implies it)
-/// switches replica work to run under `catch_unwind`: a panicking replica is
-/// **quarantined** — recorded in the [`HealthReport`], excluded from every
-/// merge — and the ensemble keeps serving a degraded estimate over the
-/// healthy replicas.  Replicate-mode summaries are then honestly computed
-/// over the reduced K (wider CI); partition mode keeps serving the healthy
-/// shards' partial sum.
+/// A replica that panics is quarantined — recorded in the [`HealthReport`],
+/// excluded from every merge — and the ensemble keeps serving a degraded
+/// estimate over the healthy replicas (see the module docs).
+/// [`with_replica_faults`](Ensemble::with_replica_faults) arms deterministic
+/// faults that exercise this path.
 pub struct Ensemble {
     base: EstimatorSpec,
-    mode: EnsembleMode,
-    replicas: Vec<Box<dyn ButterflyCounter + Send>>,
+    set: ReplicaSet<Box<dyn ButterflyCounter + Send>>,
     fan_out_threads: usize,
-    /// Per-replica routing buffers (partition mode), reused across chunks.
-    routed: Vec<Vec<StreamElement>>,
-    /// `catch_unwind` + quarantine instead of fail-stop.
-    supervised: bool,
-    /// Per-replica quarantine state; `Some` ⇒ out of service.
-    quarantined: Vec<Option<(u64, ReplicaError)>>,
-    /// Injected replica faults still pending (supervision test harness).
-    faults: Vec<ReplicaFault>,
-    /// Retry budget applied to injected transient replica I/O faults.
-    retry: RetryPolicy,
-    /// Global element index — positions injected faults deterministically.
-    processed: u64,
 }
 
 impl std::fmt::Debug for Ensemble {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ensemble")
             .field("base", &self.base)
-            .field("mode", &self.mode)
-            .field("replicas", &self.replicas.len())
+            .field("mode", &self.mode())
+            .field("replicas", &self.replicas())
             .field("healthy", &self.healthy())
             .field("fan_out_threads", &self.fan_out_threads)
             .finish()
@@ -205,36 +496,16 @@ impl Ensemble {
         if replicas == 0 {
             return Err(EngineError::ZeroReplicas);
         }
-        let replicas: Vec<_> = (0..replicas as u64)
-            .map(|i| base.with_seed(derive_seed(base.seed, i)).build())
-            .collect();
-        let quarantined = (0..replicas.len()).map(|_| None).collect();
+        let replicas =
+            (0..replicas as u64).map(|i| base.with_seed(derive_seed(base.seed, i)).build());
         Ok(Ensemble {
             base,
-            mode,
-            replicas,
+            set: ReplicaSet::new(mode, replicas, RetryPolicy::no_delay(), 0),
             fan_out_threads: 1,
-            routed: Vec::new(),
-            supervised: false,
-            quarantined,
-            faults: Vec::new(),
-            retry: RetryPolicy::no_delay(),
-            processed: 0,
         })
     }
 
-    /// Returns the ensemble with supervision enabled: replica work runs
-    /// under `catch_unwind`, a panicking replica is quarantined instead of
-    /// taking the run down, and the ensemble serves degraded over the
-    /// healthy replicas.
-    #[must_use]
-    pub fn with_supervision(mut self) -> Self {
-        self.supervised = true;
-        self
-    }
-
-    /// Returns the ensemble with injected replica faults armed (implies
-    /// [`with_supervision`](Ensemble::with_supervision)).  A
+    /// Returns the ensemble with injected replica faults armed.  A
     /// [`ReplicaFaultKind::Panic`] fault panics the replica's worker just
     /// before it would process the fault's element; a
     /// [`ReplicaFaultKind::Io`] fault injects that many transient failures
@@ -242,16 +513,7 @@ impl Ensemble {
     /// the budget is exhausted.
     #[must_use]
     pub fn with_replica_faults(mut self, faults: Vec<ReplicaFault>) -> Self {
-        self.faults = faults;
-        self.supervised = true;
-        self
-    }
-
-    /// Returns the ensemble with a different retry budget for injected
-    /// transient replica I/O faults.
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.set.arm(faults);
         self
     }
 
@@ -271,13 +533,13 @@ impl Ensemble {
     /// Number of replicas K.
     #[must_use]
     pub fn replicas(&self) -> usize {
-        self.replicas.len()
+        self.set.len()
     }
 
     /// The distribution mode.
     #[must_use]
     pub fn mode(&self) -> EnsembleMode {
-        self.mode
+        self.set.mode()
     }
 
     /// The base spec the replicas were derived from.
@@ -287,300 +549,66 @@ impl Ensemble {
     }
 
     /// Read access to replica `index`, for introspection and parity tests
-    /// (downcast through [`ButterflyCounter::as_any`]).
+    /// (downcast through [`ButterflyCounter::as_any`]).  A quarantined
+    /// replica's state is the state it failed in.
     #[must_use]
     pub fn replica(&self, index: usize) -> &dyn ButterflyCounter {
-        &*self.replicas[index]
+        &*self.set.slots[index].replica
     }
 
     /// Replicas currently in service.
     #[must_use]
     pub fn healthy(&self) -> usize {
-        self.quarantined.iter().filter(|q| q.is_none()).count()
+        self.set.healthy().count()
     }
 
     /// True when at least one replica has been quarantined.
     #[must_use]
     pub fn is_degraded(&self) -> bool {
-        self.healthy() < self.replicas.len()
+        self.healthy() < self.replicas()
     }
 
     /// The typed quarantine error of replica `index`, if it is out of
     /// service.
     #[must_use]
     pub fn quarantine_error(&self, index: usize) -> Option<&ReplicaError> {
-        self.quarantined[index].as_ref().map(|(_, error)| error)
+        self.set.slots[index]
+            .quarantine
+            .as_ref()
+            .map(|(_, error)| error)
     }
 
     /// Point-in-time health: replica counts plus one [`QuarantineRecord`]
     /// per out-of-service replica.
     #[must_use]
     pub fn health(&self) -> HealthReport {
-        let quarantined: Vec<QuarantineRecord> = self
-            .quarantined
-            .iter()
-            .enumerate()
-            .filter_map(|(replica, state)| {
-                state.as_ref().map(|(at_element, error)| QuarantineRecord {
-                    replica,
-                    at_element: *at_element,
-                    reason: error.to_string(),
-                })
-            })
-            .collect();
-        HealthReport {
-            total: self.replicas.len(),
-            healthy: self.replicas.len() - quarantined.len(),
-            quarantined,
-        }
+        self.set.health()
     }
 
     /// The current per-replica estimates of the **healthy** replicas, in
-    /// replica order.  Quarantined replicas died mid-element and are never
-    /// read again.
+    /// replica order.
     #[must_use]
     pub fn replica_estimates(&self) -> Vec<f64> {
-        self.healthy_replicas()
-            .map(ButterflyCounter::estimate)
-            .collect()
+        self.set.estimates().collect()
     }
 
-    fn healthy_replicas(&self) -> impl Iterator<Item = &dyn ButterflyCounter> {
-        self.replicas
-            .iter()
-            .zip(&self.quarantined)
-            .filter(|(_, q)| q.is_none())
-            .map(|(replica, _)| &**replica as &dyn ButterflyCounter)
-    }
-
-    /// Replica-spread statistics — replicate mode only (`None` under
-    /// partition, where replicas estimate disjoint shards and their spread
-    /// is not an error bar).  Degraded ensembles compute the summary over
-    /// the healthy replicas only: the reduced K honestly widens the CI.
+    /// Replica-spread statistics over the healthy replicas — replicate mode
+    /// only (`None` under partition, or when no replica is healthy).
     #[must_use]
     pub fn replicate_summary(&self) -> Option<EnsembleSummary> {
-        if self.mode != EnsembleMode::Replicate || self.healthy() == 0 {
-            return None;
-        }
-        let summary = abacus_metrics::Summary::from_values(self.replica_estimates());
-        let mean = summary.mean();
-        let std_dev = summary.std_dev();
-        let std_err = std_dev / (summary.count() as f64).sqrt();
-        Some(EnsembleSummary {
-            mean,
-            std_dev,
-            std_err,
-            ci95_half_width: 1.96 * std_err,
-        })
-    }
-
-    /// The shard an edge routes to in partition mode: a splitmix64 avalanche
-    /// of the packed edge key, reduced mod K.  Purely a function of the
-    /// edge, so a deletion always follows its insertion to the same shard.
-    fn route(&self, element: StreamElement) -> usize {
-        // Full-width avalanche so shard occupancy is balanced even for the
-        // generators' sequential vertex ids.
-        (splitmix64(element.edge.key().0) % self.replicas.len() as u64) as usize
-    }
-
-    /// Merges the healthy replicas' estimates in replica-index order
-    /// (deterministic regardless of which worker drove which replica).  A
-    /// fully quarantined ensemble serves 0.0 — degradation is surfaced
-    /// through [`health`](Ensemble::health), never through a NaN.
-    fn merged_estimate(&self) -> f64 {
-        let healthy = self.healthy();
-        if healthy == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .healthy_replicas()
-            .map(ButterflyCounter::estimate)
-            .sum();
-        match self.mode {
-            EnsembleMode::Replicate => sum / healthy as f64,
-            EnsembleMode::Partition => sum,
-        }
-    }
-
-    /// Takes (consumes) the injected fault armed for `(replica, index)`.
-    fn take_fault(&mut self, replica: usize, index: u64) -> Option<ReplicaFaultKind> {
-        let position = self
-            .faults
-            .iter()
-            .position(|f| f.replica == replica && f.at == index)?;
-        Some(self.faults.swap_remove(position).kind)
-    }
-
-    /// Feeds one element to replica `index` under supervision: injected
-    /// faults fire first, organic panics are caught, and either outcome
-    /// quarantines the replica at element `at`.
-    fn feed_supervised(&mut self, index: usize, at: u64, element: StreamElement) {
-        if self.quarantined[index].is_some() {
-            return;
-        }
-        if let Some(kind) = self.take_fault(index, at) {
-            match kind {
-                ReplicaFaultKind::Panic => {
-                    // Simulate the worker panicking mid-element, contained
-                    // exactly like an organic panic below.
-                    let caught = catch_unwind(|| {
-                        // lint:allow(panic-policy): deliberate fault injection — caught by this catch_unwind and converted to a quarantine
-                        panic!("injected replica-worker panic at element {at}");
-                    })
-                    .expect_err("the injected closure always panics");
-                    self.quarantined[index] =
-                        Some((at, ReplicaError::Panicked(panic_message(caught))));
-                    return;
-                }
-                ReplicaFaultKind::Io { failures } => {
-                    // Transient I/O faults pass through the bounded-retry
-                    // layer; only an exhausted budget counts as a fault.
-                    let mut remaining = failures;
-                    let outcome = with_retry(&self.retry, |_| {
-                        if remaining > 0 {
-                            remaining -= 1;
-                            return Err(PersistError::Io(std::io::Error::other(format!(
-                                "injected transient replica I/O fault at element {at}"
-                            ))));
-                        }
-                        Ok(())
-                    });
-                    if let Err(error) = outcome {
-                        self.quarantined[index] =
-                            Some((at, ReplicaError::Persist(error.to_string())));
-                        return;
-                    }
-                    // Absorbed: fall through and process the element.
-                }
-            }
-        }
-        let replica = &mut self.replicas[index];
-        if let Err(caught) = catch_unwind(AssertUnwindSafe(|| replica.process(element))) {
-            self.quarantined[index] = Some((at, ReplicaError::Panicked(panic_message(caught))));
-        }
-    }
-
-    /// The supervised single-element path: routes `element` and feeds every
-    /// in-service target replica under `catch_unwind`.
-    fn offer_supervised(&mut self, element: StreamElement) {
-        let at = self.processed;
-        self.processed += 1;
-        match self.mode {
-            EnsembleMode::Replicate => {
-                for index in 0..self.replicas.len() {
-                    self.feed_supervised(index, at, element);
-                }
-            }
-            EnsembleMode::Partition => {
-                let shard = self.route(element);
-                self.feed_supervised(shard, at, element);
-            }
-        }
-    }
-
-    /// Drives one staged chunk through every replica, fanning out to worker
-    /// threads when configured.  Each replica is owned by exactly one worker
-    /// for the duration of the chunk and sees its elements in stream order,
-    /// so results are independent of the thread count.
-    fn dispatch_chunk(&mut self, staged: &[StreamElement]) {
-        if staged.is_empty() {
-            return;
-        }
-        if self.supervised {
-            // Supervision needs per-element fault positions and quarantine
-            // checks; the sequential path is bit-identical to the fan-out
-            // (thread count never affects results), just slower.
-            for &element in staged {
-                self.offer_supervised(element);
-            }
-            return;
-        }
-        self.processed += staged.len() as u64;
-        let workers = self.fan_out_threads.min(self.replicas.len());
-        match self.mode {
-            EnsembleMode::Replicate => {
-                if workers <= 1 {
-                    for replica in &mut self.replicas {
-                        for &element in staged {
-                            replica.process(element);
-                        }
-                    }
-                } else {
-                    let per_worker = self.replicas.len().div_ceil(workers);
-                    std::thread::scope(|scope| {
-                        for group in self.replicas.chunks_mut(per_worker) {
-                            scope.spawn(move || {
-                                for replica in group {
-                                    for &element in staged {
-                                        replica.process(element);
-                                    }
-                                }
-                            });
-                        }
-                    });
-                }
-            }
-            EnsembleMode::Partition => {
-                self.routed.resize_with(self.replicas.len(), Vec::new);
-                for buffer in &mut self.routed {
-                    buffer.clear();
-                }
-                for &element in staged {
-                    let shard = self.route(element);
-                    self.routed[shard].push(element);
-                }
-                if workers <= 1 {
-                    for (replica, buffer) in self.replicas.iter_mut().zip(&self.routed) {
-                        for &element in buffer {
-                            replica.process(element);
-                        }
-                    }
-                } else {
-                    let per_worker = self.replicas.len().div_ceil(workers);
-                    let routed = &self.routed;
-                    std::thread::scope(|scope| {
-                        for (group_index, group) in self.replicas.chunks_mut(per_worker).enumerate()
-                        {
-                            scope.spawn(move || {
-                                let start = group_index * per_worker;
-                                for (offset, replica) in group.iter_mut().enumerate() {
-                                    for &element in &routed[start + offset] {
-                                        replica.process(element);
-                                    }
-                                }
-                            });
-                        }
-                    });
-                }
-            }
-        }
+        self.set.summary()
     }
 }
 
 impl ButterflyCounter for Ensemble {
     fn process(&mut self, element: StreamElement) {
-        if self.supervised {
-            self.offer_supervised(element);
-            return;
-        }
-        self.processed += 1;
-        match self.mode {
-            EnsembleMode::Replicate => {
-                for replica in &mut self.replicas {
-                    replica.process(element);
-                }
-            }
-            EnsembleMode::Partition => {
-                let shard = self.route(element);
-                self.replicas[shard].process(element);
-            }
-        }
+        self.set.feed(&[element], 1);
     }
 
     fn preferred_chunk(&self) -> usize {
         // Replicas are homogeneous; honour their staging preference so a
         // PARABACUS ensemble stages whole mini-batches per pull.
-        self.replicas[0].preferred_chunk()
+        self.replica(0).preferred_chunk()
     }
 
     fn process_source_chunked(
@@ -601,7 +629,7 @@ impl ButterflyCounter for Ensemble {
                 }
             }
             total += staged.len() as u64;
-            self.dispatch_chunk(&staged);
+            self.set.feed(&staged, self.fan_out_threads);
             if staged.len() < chunk {
                 break; // the source is exhausted
             }
@@ -611,26 +639,22 @@ impl ButterflyCounter for Ensemble {
     }
 
     fn estimate(&self) -> f64 {
-        self.merged_estimate()
+        self.set.estimate()
     }
 
     fn finish(&mut self) -> f64 {
-        for (replica, quarantine) in self.replicas.iter_mut().zip(&self.quarantined) {
-            if quarantine.is_none() {
-                replica.finish();
-            }
+        for replica in self.set.healthy_mut() {
+            replica.finish();
         }
-        self.merged_estimate()
+        self.set.estimate()
     }
 
     fn memory_edges(&self) -> usize {
-        self.healthy_replicas()
-            .map(ButterflyCounter::memory_edges)
-            .sum()
+        self.set.memory_edges()
     }
 
     fn name(&self) -> &'static str {
-        match self.mode {
+        match self.mode() {
             EnsembleMode::Replicate => "ENSEMBLE-replicate",
             EnsembleMode::Partition => "ENSEMBLE-partition",
         }
@@ -658,12 +682,12 @@ impl ButterflyCounter for Ensemble {
             ));
         }
         let mut enc = Encoder::new();
-        enc.put_usize(self.replicas.len());
-        enc.put_u8(match self.mode {
+        enc.put_usize(self.replicas());
+        enc.put_u8(match self.mode() {
             EnsembleMode::Replicate => 0,
             EnsembleMode::Partition => 1,
         });
-        for replica in &mut self.replicas {
+        for replica in self.set.healthy_mut() {
             let section = replica.save_state()?;
             enc.put_bytes(&section);
         }
@@ -673,10 +697,10 @@ impl ButterflyCounter for Ensemble {
     fn restore_state(&mut self, state: &[u8]) -> Result<(), PersistError> {
         let mut dec = Decoder::new(state);
         let replicas = dec.get_usize()?;
-        if replicas != self.replicas.len() {
+        if replicas != self.replicas() {
             return Err(PersistError::Corrupt(format!(
                 "ensemble snapshot holds {replicas} replicas, this ensemble has {}",
-                self.replicas.len()
+                self.replicas()
             )));
         }
         let mode = match dec.get_u8()? {
@@ -688,14 +712,14 @@ impl ButterflyCounter for Ensemble {
                 )))
             }
         };
-        if mode != self.mode {
+        if mode != self.mode() {
             return Err(PersistError::Corrupt(
                 "ensemble snapshot was written under a different distribution mode".into(),
             ));
         }
-        for replica in &mut self.replicas {
+        for slot in &mut self.set.slots {
             let section = dec.get_bytes()?;
-            replica.restore_state(section)?;
+            slot.replica.restore_state(section)?;
         }
         dec.expect_end()?;
         Ok(())
@@ -837,6 +861,128 @@ mod tests {
                 assert_eq!(fingerprint(threads), single, "{mode} threads {threads}");
             }
         }
+
+        // Fault-armed: replica 0 panics, replica 1 exhausts its retry budget
+        // and replica 2 absorbs two transient failures, each at an element
+        // routed to it, in chunks that straddle the fault points.
+        for mode in [EnsembleMode::Replicate, EnsembleMode::Partition] {
+            let routed_at = |replica: usize, nth: usize| {
+                (0u64..)
+                    .zip(&stream)
+                    .filter(|&(_, &element)| mode.takes(element, replica, 3))
+                    .nth(nth)
+                    .expect("the stream routes enough elements to every replica")
+                    .0
+            };
+            let faults = vec![
+                ReplicaFault {
+                    replica: 0,
+                    at: routed_at(0, 70),
+                    kind: ReplicaFaultKind::Panic,
+                },
+                ReplicaFault {
+                    replica: 1,
+                    at: routed_at(1, 90),
+                    kind: ReplicaFaultKind::Io { failures: 5 },
+                },
+                ReplicaFault {
+                    replica: 2,
+                    at: routed_at(2, 110),
+                    kind: ReplicaFaultKind::Io { failures: 2 },
+                },
+            ];
+            let fingerprint = |threads: usize| {
+                let mut ensemble = Ensemble::new(EstimatorSpec::abacus(100).with_seed(11), 3, mode)
+                    .unwrap()
+                    .with_replica_faults(faults.clone())
+                    .with_fan_out_threads(threads);
+                ensemble
+                    .process_source_chunked(&mut SliceSource::new(&stream), 64)
+                    .unwrap();
+                (
+                    ensemble.estimate().to_bits(),
+                    ensemble
+                        .replica_estimates()
+                        .iter()
+                        .map(|e| e.to_bits())
+                        .collect::<Vec<_>>(),
+                    ensemble.memory_edges(),
+                    ensemble.health(),
+                )
+            };
+            let single = fingerprint(1);
+            let health = &single.3;
+            assert_eq!((health.healthy, health.total), (1, 3), "{mode}");
+            let quarantined: Vec<(usize, u64)> = health
+                .quarantined
+                .iter()
+                .map(|record| (record.replica, record.at_element))
+                .collect();
+            assert_eq!(quarantined, [(0, faults[0].at), (1, faults[1].at)]);
+            for threads in [2usize, 3] {
+                assert_eq!(
+                    fingerprint(threads),
+                    single,
+                    "{mode} faults threads {threads}"
+                );
+            }
+        }
+    }
+
+    /// Counts elements and panics on the `limit`-th one.
+    struct PanicsAt {
+        limit: u64,
+        seen: u64,
+    }
+
+    impl ButterflyCounter for PanicsAt {
+        fn process(&mut self, _element: StreamElement) {
+            self.seen += 1;
+            assert!(self.seen < self.limit, "organic replica failure");
+        }
+
+        fn estimate(&self) -> f64 {
+            self.seen as f64
+        }
+
+        fn memory_edges(&self) -> usize {
+            0
+        }
+
+        fn name(&self) -> &'static str {
+            "PANICS-AT"
+        }
+    }
+
+    #[test]
+    fn organic_replica_panics_are_quarantined_without_a_fault_plan() {
+        let stream = workload(100);
+        let replicas: Vec<Box<dyn ButterflyCounter + Send>> = vec![
+            Box::new(PanicsAt {
+                limit: u64::MAX,
+                seen: 0,
+            }),
+            Box::new(PanicsAt { limit: 5, seen: 0 }),
+        ];
+        let mut set = ReplicaSet::new(
+            EnsembleMode::Replicate,
+            replicas,
+            RetryPolicy::no_delay(),
+            0,
+        );
+        set.feed(&stream[..3], 2);
+        set.feed(&stream[3..], 2);
+        let health = set.health();
+        assert_eq!((health.healthy, health.total), (1, 2));
+        let record = &health.quarantined[0];
+        assert_eq!((record.replica, record.at_element), (1, 4));
+        assert!(
+            record.reason.contains("organic replica failure"),
+            "{record:?}"
+        );
+        // The merge reads the healthy replica alone.
+        assert_eq!(set.estimate(), stream.len() as f64);
+        assert!(set.get(1).is_none());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Typed errors of the engine layer: construction failures and the
-//! per-replica fault taxonomy the ensemble supervisor quarantines on.
+//! per-replica fault taxonomy ensembles quarantine on.
 
 /// Construction-time errors of the engine registry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,7 +19,7 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Why a supervised replica was quarantined.
+/// Why an ensemble replica was quarantined.
 ///
 /// Replica work runs under `catch_unwind`; persistence goes through the
 /// bounded-retry layer first.  A `ReplicaError` is therefore always a

@@ -1,26 +1,23 @@
-//! The estimator engine: one registry that describes, builds, and scales
-//! every butterfly estimator in the workspace.
-//!
-//! Before this layer existed, each front end (the CLI's `run` command, its
-//! `accuracy` command, the bench harness's runners) carried a private
-//! algorithm enum and a private `match` that constructed estimators — three
-//! copies of the same factory, each of which every new tuning knob had to be
-//! threaded through.  The engine collapses them into:
+//! The estimator engine: one registry that describes, builds, scales and
+//! persists every butterfly estimator in the workspace.
 //!
 //! * [`EstimatorSpec`] — a plain, serde-able *description* of an estimator:
 //!   which algorithm ([`EstimatorKind`]), the memory budget, the seed, and
-//!   the PARABACUS tuning.  Specs are cheap `Copy` values
-//!   that can be parsed from CLI strings ([`EstimatorSpec::from_name`]),
-//!   stored in experiment configs, and compared.
-//! * [`EstimatorSpec::build`] — the single registry turning a spec into a
-//!   live `Box<dyn ButterflyCounter + Send>`, covering ABACUS, PARABACUS,
-//!   LOCAL, FLEET, CAS, and EXACT.
-//! * [`Ensemble`] — the horizontal-scaling layer on top of the registry:
-//!   K independent replicas built from seed-derived specs, fed in parallel
-//!   over the pull-based staging path and merged into one estimate
-//!   ([`EnsembleMode::Replicate`] averages full-stream replicas,
-//!   [`EnsembleMode::Partition`] shards the stream and sums per-shard
-//!   counts).
+//!   the PARABACUS tuning.  Specs are cheap `Copy` values that parse from
+//!   CLI strings ([`EstimatorSpec::from_name`]) and compare.
+//!   [`EstimatorSpec::build`] is the single registry turning a spec into a
+//!   live `Box<dyn ButterflyCounter + Send>`: ABACUS, PARABACUS, LOCAL,
+//!   FLEET, CAS, or EXACT.
+//! * [`Ensemble`] — K replicas built from seed-derived specs and run as one
+//!   estimator: [`EnsembleMode`] decides which replicas take each element
+//!   and how their estimates merge, a replica that panics is quarantined
+//!   while the rest keep serving, and chunks fan out over worker threads
+//!   without changing a bit of the result.
+//! * [`Checkpointer`] — durability for one estimator: a run manifest, an
+//!   `ABWL1` write-ahead log and `ABSNAP1` snapshots, with bit-exact resume.
+//! * [`EnsembleSupervisor`] — a durable ensemble: one checkpointer per
+//!   replica plus an ensemble-level log, run in the same replica set as
+//!   [`Ensemble`], so a quarantined replica can rejoin bit-exactly.
 //!
 //! The registry can construct the insert-only baselines because the
 //! `ButterflyCounter` trait, the sample store, and the work counters live

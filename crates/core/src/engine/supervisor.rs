@@ -1,10 +1,6 @@
-//! [`EnsembleSupervisor`]: durable, fault-tolerant ensemble serving with
-//! quarantine, degraded operation, and bit-exact catch-up rejoin.
-//!
-//! The supervisor composes two things PR 7 already shipped — per-estimator
-//! [`Checkpointer`]s and the `ABWL1` WAL — into the ROADMAP's promised
-//! topology: *replicas checkpoint independently, a degraded ensemble keeps
-//! serving*.
+//! [`EnsembleSupervisor`]: a durable ensemble whose replicas checkpoint
+//! independently, keep serving degraded when one fails, and rejoin
+//! bit-exactly.
 //!
 //! # Layout
 //!
@@ -18,60 +14,59 @@
 //!   replica-1/ ...
 //! ```
 //!
-//! Each replica runs its own [`Checkpointer`] (derived seed, same cadence)
-//! in its own subdirectory; the supervisor additionally appends every stream
-//! element to an **ensemble-level WAL** before fan-out.  That log is the
-//! rejoin substrate: a replica that died at element *n* can be rebuilt from
-//! its newest snapshot and caught up element-by-element to the ensemble's
-//! position, because the ensemble log covers the suffix the replica missed.
-//! The ensemble log is deliberately never pruned — in partition mode a
-//! quarantined shard's catch-up must re-scan from the beginning to count its
-//! routed elements, and an unpruned log keeps rejoin possible at arbitrary
-//! lag.  (Disk cost: the full stream in ~2 bytes/element varint encoding.)
+//! Each replica is a [`Checkpointer`] (derived seed, same cadence) in its
+//! own subdirectory.  The supervisor appends every stream element to an
+//! **ensemble-level WAL** before the replicas see it and commits that log's
+//! watermark at the checkpoint cadence.  The log is the rejoin substrate and
+//! is never pruned, so a replica can catch up at any lag.  (Disk cost: the
+//! full stream in ~2 bytes/element varint encoding.)
 //!
 //! # Fault containment
 //!
-//! Replica work runs under `catch_unwind`; persistence errors pass through
-//! the bounded-retry layer ([`RetryPolicy`]) first.  A replica that panics
-//! or exhausts its retry budget is **quarantined**: its checkpointer is
-//! dropped (crash-equivalent — its directory stays recoverable), the fault
-//! is recorded as a typed [`ReplicaError`], and the remaining replicas keep
-//! ingesting and serving.  Nothing about a quarantined replica is ever read
-//! again until it rejoins.
+//! The replicas run in the same replica set as an in-memory
+//! [`Ensemble`](crate::engine::Ensemble), so routing, panic containment,
+//! injected faults, quarantine and the merge are shared with it.  A
+//! replica that panics or exhausts its retry budget is quarantined: its
+//! directory stays recoverable, the fault is recorded as a typed
+//! [`ReplicaError`](crate::engine::ReplicaError), and the other replicas
+//! keep ingesting and serving.
 //!
 //! # Bit-exact rejoin
 //!
-//! [`rejoin`](EnsembleSupervisor::rejoin) resumes the quarantined replica's
-//! own checkpoint directory (newest valid snapshot + its own WAL replay,
-//! re-performing cadence checkpoints — the PR-7 bit-exactness discipline)
-//! and then offers it the missed suffix from the ensemble log through the
-//! same `Checkpointer::offer` path the healthy replicas used.  Replay and
-//! live processing are therefore *the same code path*, so a
-//! failed-recovered-rejoined replica is bit-identical (estimate bits,
-//! `memory_edges`, serialized state) to a replica that never failed — the
-//! property `tests/fault_tolerance.rs` asserts across fault points,
-//! estimator kinds, and both ensemble modes.
+//! [`rejoin`](EnsembleSupervisor::rejoin) and
+//! [`resume`](EnsembleSupervisor::resume) recover a replica from its own
+//! directory (newest valid snapshot plus its own WAL replay, re-performing
+//! cadence checkpoints) and then catch it up by one rule in both modes: it
+//! is offered the ensemble log's elements routed to it, past those it
+//! already holds, through the same `Checkpointer::offer` path live traffic
+//! uses.  A failed-recovered-rejoined replica is therefore bit-identical
+//! (estimate bits, `memory_edges`, serialized state) to a replica that never
+//! failed — the property `tests/fault_tolerance.rs` asserts across fault
+//! points, estimator kinds, and both ensemble modes.
 
 use crate::counter::ButterflyCounter;
 use crate::engine::checkpoint::{Checkpointer, RunManifest};
-use crate::engine::error::panic_message;
-use crate::engine::{EnsembleMode, EnsembleSummary, ReplicaError};
+use crate::engine::ensemble::{Replica, ReplicaSet};
+use crate::engine::{EnsembleMode, EnsembleSummary};
 use abacus_graph::persist::PersistError;
-use abacus_metrics::{HealthReport, QuarantineRecord};
-use abacus_sampling::{derive_seed, splitmix64};
-use abacus_stream::fault::{ReplicaFault, ReplicaFaultKind};
+use abacus_metrics::HealthReport;
+use abacus_sampling::derive_seed;
+use abacus_stream::fault::ReplicaFault;
 use abacus_stream::persist::{
-    read_watermark, replay_wal, seal_tail, with_retry, write_watermark, write_watermark_with_retry,
+    read_watermark, replay_wal, seal_tail, write_watermark, write_watermark_with_retry,
     RetryPolicy, WalWriter,
 };
 use abacus_stream::StreamElement;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-/// One replica slot: in service (`checkpointer` present) or quarantined.
-struct ReplicaSlot {
-    checkpointer: Option<Checkpointer>,
-    quarantine: Option<(u64, ReplicaError)>,
+impl Replica for Checkpointer {
+    fn offer(&mut self, element: StreamElement) -> Result<(), PersistError> {
+        Checkpointer::offer(self, element)
+    }
+
+    fn counter(&self) -> &dyn ButterflyCounter {
+        self.estimator()
+    }
 }
 
 /// What a rejoin (or resume-time catch-up) did for one replica.
@@ -104,16 +99,12 @@ pub struct SupervisorRecovery {
 }
 
 /// Drives K per-replica [`Checkpointer`]s plus an ensemble-level WAL, with
-/// `catch_unwind` fault containment, quarantine, degraded serving, and
-/// WAL catch-up rejoin.  See the module docs for the full lifecycle.
+/// fault containment, quarantine, degraded serving, and WAL catch-up
+/// rejoin.  See the module docs for the full lifecycle.
 pub struct EnsembleSupervisor {
     dir: PathBuf,
     manifest: RunManifest,
-    mode: EnsembleMode,
-    slots: Vec<ReplicaSlot>,
-    offered: u64,
-    faults: Vec<ReplicaFault>,
-    retry: RetryPolicy,
+    set: ReplicaSet<Checkpointer>,
     wal: Option<WalWriter>,
 }
 
@@ -121,10 +112,10 @@ impl std::fmt::Debug for EnsembleSupervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EnsembleSupervisor")
             .field("dir", &self.dir)
-            .field("mode", &self.mode)
-            .field("replicas", &self.slots.len())
+            .field("mode", &self.mode())
+            .field("replicas", &self.replicas())
             .field("healthy", &self.healthy())
-            .field("offered", &self.offered)
+            .field("offered", &self.offered())
             .finish()
     }
 }
@@ -153,52 +144,39 @@ impl EnsembleSupervisor {
         manifest.write(&dir)?;
         let wal = WalWriter::create(&dir, 0)?;
         write_watermark(&dir, 0)?;
-        let mut slots = Vec::with_capacity(replicas);
-        for index in 0..replicas {
-            let spec = manifest
-                .spec
-                .with_seed(derive_seed(manifest.spec.seed, index as u64));
-            let replica_manifest = RunManifest::new(spec, manifest.checkpoint_every);
-            let checkpointer = Checkpointer::create(replica_dir(&dir, index), replica_manifest)?;
-            slots.push(ReplicaSlot {
-                checkpointer: Some(checkpointer),
-                quarantine: None,
-            });
-        }
+        let checkpointers = (0..replicas)
+            .map(|index| {
+                let spec = manifest
+                    .spec
+                    .with_seed(derive_seed(manifest.spec.seed, index as u64));
+                let replica_manifest = RunManifest::new(spec, manifest.checkpoint_every);
+                Checkpointer::create(replica_dir(&dir, index), replica_manifest)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(EnsembleSupervisor {
             dir,
             manifest,
-            mode,
-            slots,
-            offered: 0,
-            faults: Vec::new(),
-            retry: RetryPolicy::default(),
+            set: ReplicaSet::new(mode, checkpointers, RetryPolicy::default(), 0),
             wal: Some(wal),
         })
     }
 
     /// Returns the supervisor with injected replica faults armed
-    /// ([`ReplicaFaultKind::Panic`] panics the replica's worker before it
-    /// processes the fault's element; [`ReplicaFaultKind::Io`] injects that
-    /// many transient persistence failures through the retry layer).
+    /// ([`ReplicaFaultKind::Panic`](abacus_stream::fault::ReplicaFaultKind::Panic)
+    /// panics the replica's worker before it processes the fault's element;
+    /// [`ReplicaFaultKind::Io`](abacus_stream::fault::ReplicaFaultKind::Io)
+    /// injects that many transient persistence failures through the retry
+    /// layer).
     #[must_use]
     pub fn with_replica_faults(mut self, faults: Vec<ReplicaFault>) -> Self {
-        self.faults = faults;
+        self.set.arm(faults);
         self
     }
 
-    /// Returns the supervisor with a different persistence retry budget.
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Appends `element` to the ensemble log, fans it out to every
-    /// in-service replica that the mode routes it to (under `catch_unwind`
-    /// plus bounded retry), and commits the ensemble watermark at the
-    /// checkpoint cadence.  A replica fault quarantines that replica; the
-    /// call still succeeds.
+    /// Appends `element` to the ensemble log, feeds it to every in-service
+    /// replica the mode routes it to, and commits the ensemble watermark at
+    /// the checkpoint cadence.  A replica fault quarantines that replica;
+    /// the call still succeeds.
     ///
     /// # Errors
     /// [`PersistError`] only for *ensemble-level* failures (the ensemble
@@ -209,90 +187,13 @@ impl EnsembleSupervisor {
             .ok_or(PersistError::Invariant(
                 "the ensemble WAL is open until finish()",
             ))?
-            .append_with_retry(element, &self.retry)?;
-        let at = self.offered;
-        self.offered += 1;
-        match self.mode {
-            EnsembleMode::Replicate => {
-                for index in 0..self.slots.len() {
-                    self.feed_replica(index, at, element);
-                }
-            }
-            EnsembleMode::Partition => {
-                let shard = self.route(element);
-                self.feed_replica(shard, at, element);
-            }
-        }
+            .append_with_retry(element, &RetryPolicy::default())?;
+        self.set.feed(&[element], 1);
         let every = self.manifest.checkpoint_every;
-        if every > 0 && self.offered.is_multiple_of(every) {
+        if every > 0 && self.offered().is_multiple_of(every) {
             self.commit()?;
         }
         Ok(())
-    }
-
-    /// Feeds one element to replica `index`, containing faults.
-    fn feed_replica(&mut self, index: usize, at: u64, element: StreamElement) {
-        if self.slots[index].quarantine.is_some() {
-            return;
-        }
-        let injected = self.take_fault(index, at);
-        let retry = self.retry;
-        let slot = &mut self.slots[index];
-        let Some(checkpointer) = slot.checkpointer.as_mut() else {
-            // An in-service slot always holds its checkpointer; a missing one
-            // is treated as a crashed replica instead of tearing the
-            // supervisor down, so the ensemble keeps serving.
-            slot.quarantine = Some((
-                at,
-                ReplicaError::Persist(
-                    PersistError::Invariant("an in-service slot holds its checkpointer")
-                        .to_string(),
-                ),
-            ));
-            return;
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), PersistError> {
-            match injected {
-                Some(ReplicaFaultKind::Panic) => {
-                    // lint:allow(panic-policy): deliberate fault injection — the panic is caught by the surrounding catch_unwind and becomes a quarantine
-                    panic!("injected replica-worker panic at element {at}");
-                }
-                Some(ReplicaFaultKind::Io { failures }) => {
-                    let mut remaining = failures;
-                    with_retry(&retry, |_| {
-                        if remaining > 0 {
-                            remaining -= 1;
-                            return Err(PersistError::Io(std::io::Error::other(format!(
-                                "injected transient replica I/O fault at element {at}"
-                            ))));
-                        }
-                        checkpointer.offer(element)
-                    })
-                }
-                None => checkpointer.offer(element),
-            }
-        }));
-        let error = match outcome {
-            Ok(Ok(())) => return,
-            Ok(Err(persist)) => ReplicaError::Persist(persist.to_string()),
-            Err(caught) => ReplicaError::Panicked(panic_message(caught)),
-        };
-        // Quarantine: drop the checkpointer (crash-equivalent — its
-        // directory remains recoverable) and record the typed fault.  The
-        // element at `at` was NOT applied to this replica, but the ensemble
-        // log covers it, so catch-up will deliver it on rejoin.
-        let slot = &mut self.slots[index];
-        slot.checkpointer = None;
-        slot.quarantine = Some((at, error));
-    }
-
-    /// Takes (consumes) the injected fault armed for `(replica, index)`.
-    fn take_fault(&mut self, replica: usize, at: u64) -> Option<ReplicaFaultKind> {
-        let position = self
-            .faults
-            .iter()
-            .position(|f| f.replica == replica && f.at == at)?;
-        Some(self.faults.swap_remove(position).kind)
     }
 
     /// Seals + rotates the ensemble log and advances the ensemble watermark
@@ -302,8 +203,8 @@ impl EnsembleSupervisor {
             "the ensemble WAL is open until finish()",
         ))?;
         self.wal = Some(wal.rotate()?);
-        write_watermark_with_retry(&self.dir, self.offered, &self.retry)?;
-        Ok(self.offered)
+        write_watermark_with_retry(&self.dir, self.offered(), &RetryPolicy::default())?;
+        Ok(self.offered())
     }
 
     /// Rebuilds quarantined replica `index` from its own checkpoint
@@ -314,7 +215,7 @@ impl EnsembleSupervisor {
     /// [`PersistError::Corrupt`] when the replica is not quarantined, or
     /// any [`PersistError`] from recovery/catch-up.
     pub fn rejoin(&mut self, index: usize) -> Result<ReplicaRecovery, PersistError> {
-        if self.slots[index].quarantine.is_none() {
+        if self.set.get(index).is_some() {
             return Err(PersistError::Corrupt(format!(
                 "replica {index} is not quarantined"
             )));
@@ -322,55 +223,16 @@ impl EnsembleSupervisor {
         // Seal the open ensemble segment so catch-up can read the whole log,
         // and advance the watermark — this is a commit point.
         self.commit()?;
-        let recovery = Checkpointer::resume(replica_dir(&self.dir, index))?;
-        let mut checkpointer = recovery.checkpointer;
-        let caught_up = self.catch_up(index, &mut checkpointer)?;
-        let slot = &mut self.slots[index];
-        slot.checkpointer = Some(checkpointer);
-        slot.quarantine = None;
-        Ok(ReplicaRecovery {
-            replica: index,
-            snapshot_elements: recovery.snapshot_elements,
-            replayed: recovery.replayed,
-            caught_up,
-        })
-    }
-
-    /// Offers replica `index` every element of the ensemble log it has not
-    /// yet seen, through the same `Checkpointer::offer` path live traffic
-    /// uses (cadence checkpoints re-performed ⇒ bit-exact alignment).
-    fn catch_up(&self, index: usize, checkpointer: &mut Checkpointer) -> Result<u64, PersistError> {
-        let already = checkpointer.elements();
-        let mut caught_up = 0u64;
-        match self.mode {
-            EnsembleMode::Replicate => {
-                // Replica position == global position: replay the suffix.
-                let replay = replay_wal(&self.dir, already)?;
-                for &element in &replay.elements {
-                    checkpointer.offer(element)?;
-                    caught_up += 1;
-                }
-            }
-            EnsembleMode::Partition => {
-                // The replica's local count is not a global position: scan
-                // the full log, keep this shard's elements, skip the prefix
-                // the replica already holds.
-                let replay = replay_wal(&self.dir, 0)?;
-                let mut seen = 0u64;
-                for &element in &replay.elements {
-                    if self.route(element) != index {
-                        continue;
-                    }
-                    seen += 1;
-                    if seen <= already {
-                        continue;
-                    }
-                    checkpointer.offer(element)?;
-                    caught_up += 1;
-                }
-            }
-        }
-        Ok(caught_up)
+        let log = replay_wal(&self.dir, 0)?;
+        let (checkpointer, recovery) = recover_replica(
+            &self.dir,
+            self.mode(),
+            self.replicas(),
+            index,
+            &log.elements,
+        )?;
+        self.set.readmit(index, checkpointer);
+        Ok(recovery)
     }
 
     /// Recovers a supervised ensemble directory after a crash (or after a
@@ -401,8 +263,8 @@ impl EnsembleSupervisor {
             Err(_) => (None, true), // corrupt: rebuild from the durable log
         };
         let dropped_torn_tail = seal_tail(&dir)?;
-        let full = replay_wal(&dir, 0)?;
-        let durable_end = full.next_seq;
+        let log = replay_wal(&dir, 0)?;
+        let durable_end = log.next_seq;
         if let Some(committed) = watermark {
             if committed > durable_end {
                 // The watermark claims more than the log holds: elements are
@@ -418,40 +280,27 @@ impl EnsembleSupervisor {
             }
         }
 
-        let mut supervisor = EnsembleSupervisor {
-            dir,
-            manifest,
-            mode,
-            slots: Vec::with_capacity(replicas),
-            offered: durable_end,
-            faults: Vec::new(),
-            retry: RetryPolicy::default(),
-            wal: None,
-        };
+        let mut checkpointers = Vec::with_capacity(replicas);
         let mut recoveries = Vec::with_capacity(replicas);
         for index in 0..replicas {
-            let recovery = Checkpointer::resume(replica_dir(&supervisor.dir, index))?;
-            let mut checkpointer = recovery.checkpointer;
-            let caught_up = supervisor.catch_up(index, &mut checkpointer)?;
-            supervisor.slots.push(ReplicaSlot {
-                checkpointer: Some(checkpointer),
-                quarantine: None,
-            });
-            recoveries.push(ReplicaRecovery {
-                replica: index,
-                snapshot_elements: recovery.snapshot_elements,
-                replayed: recovery.replayed,
-                caught_up,
-            });
+            let (checkpointer, recovery) =
+                recover_replica(&dir, mode, replicas, index, &log.elements)?;
+            checkpointers.push(checkpointer);
+            recoveries.push(recovery);
         }
         if watermark_rebuilt {
-            write_watermark(&supervisor.dir, durable_end)?;
+            write_watermark(&dir, durable_end)?;
         }
-        supervisor.wal = Some(WalWriter::create(&supervisor.dir, durable_end)?);
+        let wal = WalWriter::create(&dir, durable_end)?;
         Ok(SupervisorRecovery {
-            supervisor,
+            supervisor: EnsembleSupervisor {
+                dir,
+                manifest,
+                set: ReplicaSet::new(mode, checkpointers, RetryPolicy::default(), durable_end),
+                wal: Some(wal),
+            },
             replicas: recoveries,
-            dropped_torn_tail: dropped_torn_tail || full.dropped_torn_tail,
+            dropped_torn_tail: dropped_torn_tail || log.dropped_torn_tail,
             watermark_rebuilt,
         })
     }
@@ -467,56 +316,29 @@ impl EnsembleSupervisor {
     /// Any [`PersistError`] from a healthy replica's final checkpoint or
     /// the ensemble log.
     pub fn finish(&mut self) -> Result<f64, PersistError> {
-        for slot in &mut self.slots {
-            if let Some(checkpointer) = slot.checkpointer.as_mut() {
-                checkpointer.finish()?;
-            }
+        for checkpointer in self.set.healthy_mut() {
+            checkpointer.finish()?;
         }
         if let Some(wal) = self.wal.take() {
             wal.seal()?;
         }
-        write_watermark_with_retry(&self.dir, self.offered, &self.retry)?;
+        write_watermark_with_retry(&self.dir, self.offered(), &RetryPolicy::default())?;
         Ok(self.estimate())
-    }
-
-    /// The shard an edge routes to in partition mode — identical to
-    /// `Ensemble`'s routing (a pure function of the edge and K).  K comes
-    /// from the manifest, not `slots.len()`, because resume-time catch-up
-    /// routes while the slot vector is still being filled.
-    fn route(&self, element: StreamElement) -> usize {
-        let shards = self
-            .manifest
-            .ensemble
-            .map_or(self.slots.len(), |(replicas, _)| replicas);
-        (splitmix64(element.edge.key().0) % shards as u64) as usize
     }
 
     /// The merged estimate over the healthy replicas (mean under replicate,
     /// sum under partition; 0.0 when everything is quarantined).
     #[must_use]
     pub fn estimate(&self) -> f64 {
-        let estimates = self.replica_estimates();
-        if estimates.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = estimates.iter().map(|(_, e)| e).sum();
-        match self.mode {
-            EnsembleMode::Replicate => sum / estimates.len() as f64,
-            EnsembleMode::Partition => sum,
-        }
+        self.set.estimate()
     }
 
     /// `(replica index, estimate)` for every healthy replica, in order.
     #[must_use]
     pub fn replica_estimates(&self) -> Vec<(usize, f64)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(index, slot)| {
-                slot.checkpointer
-                    .as_ref()
-                    .map(|c| (index, c.estimator().estimate()))
-            })
+        self.set
+            .healthy()
+            .map(|(index, checkpointer)| (index, checkpointer.estimator().estimate()))
             .collect()
     }
 
@@ -524,107 +346,62 @@ impl EnsembleSupervisor {
     /// only.  Under degradation the reduced K honestly widens the CI.
     #[must_use]
     pub fn replicate_summary(&self) -> Option<EnsembleSummary> {
-        if self.mode != EnsembleMode::Replicate {
-            return None;
-        }
-        let estimates: Vec<f64> = self
-            .replica_estimates()
-            .into_iter()
-            .map(|(_, e)| e)
-            .collect();
-        if estimates.is_empty() {
-            return None;
-        }
-        let summary = abacus_metrics::Summary::from_values(estimates);
-        let mean = summary.mean();
-        let std_dev = summary.std_dev();
-        let std_err = std_dev / (summary.count() as f64).sqrt();
-        Some(EnsembleSummary {
-            mean,
-            std_dev,
-            std_err,
-            ci95_half_width: 1.96 * std_err,
-        })
+        self.set.summary()
     }
 
     /// Total sampled edges across the healthy replicas.
     #[must_use]
     pub fn memory_edges(&self) -> usize {
-        self.slots
-            .iter()
-            .filter_map(|slot| slot.checkpointer.as_ref())
-            .map(|c| c.estimator().memory_edges())
-            .sum()
+        self.set.memory_edges()
     }
 
     /// Read access to replica `index`'s live estimator (`None` while
     /// quarantined).
     #[must_use]
     pub fn replica(&self, index: usize) -> Option<&dyn ButterflyCounter> {
-        self.slots[index]
-            .checkpointer
-            .as_ref()
-            .map(Checkpointer::estimator)
+        self.set.get(index).map(Checkpointer::estimator)
     }
 
     /// Mutable access to replica `index`'s checkpointer (`None` while
     /// quarantined) — for parity tests that serialize replica state.
     pub fn replica_checkpointer_mut(&mut self, index: usize) -> Option<&mut Checkpointer> {
-        self.slots[index].checkpointer.as_mut()
+        self.set.get_mut(index)
     }
 
     /// Replicas currently in service.
     #[must_use]
     pub fn healthy(&self) -> usize {
-        self.slots.iter().filter(|s| s.quarantine.is_none()).count()
+        self.set.healthy().count()
     }
 
     /// True when at least one replica is quarantined.
     #[must_use]
     pub fn is_degraded(&self) -> bool {
-        self.healthy() < self.slots.len()
+        self.healthy() < self.replicas()
     }
 
     /// Point-in-time health: counts plus per-replica quarantine records.
     #[must_use]
     pub fn health(&self) -> HealthReport {
-        let quarantined: Vec<QuarantineRecord> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(replica, slot)| {
-                slot.quarantine
-                    .as_ref()
-                    .map(|(at_element, error)| QuarantineRecord {
-                        replica,
-                        at_element: *at_element,
-                        reason: error.to_string(),
-                    })
-            })
-            .collect();
-        HealthReport {
-            total: self.slots.len(),
-            healthy: self.slots.len() - quarantined.len(),
-            quarantined,
-        }
+        self.set.health()
     }
 
     /// Total replica count K.
     #[must_use]
     pub fn replicas(&self) -> usize {
-        self.slots.len()
+        self.set.len()
     }
 
     /// The distribution mode.
     #[must_use]
     pub fn mode(&self) -> EnsembleMode {
-        self.mode
+        self.set.mode()
     }
 
     /// Elements offered so far.
     #[must_use]
     pub fn offered(&self) -> u64 {
-        self.offered
+        self.set.position()
     }
 
     /// The supervised checkpoint directory.
@@ -640,6 +417,52 @@ impl EnsembleSupervisor {
     }
 }
 
+/// Resumes replica `index` of `replicas` from its own directory under `dir`
+/// and offers it the elements of the ensemble log `log` that `mode` routes
+/// to it, past those it already holds, through the same
+/// `Checkpointer::offer` path live traffic uses (cadence checkpoints
+/// re-performed ⇒ bit-exact alignment).
+///
+/// # Errors
+/// Any [`PersistError`] from the replica's recovery or catch-up, and
+/// [`PersistError::Gap`] when the replica holds more elements than the log
+/// routes to it.
+fn recover_replica(
+    dir: &Path,
+    mode: EnsembleMode,
+    replicas: usize,
+    index: usize,
+    log: &[StreamElement],
+) -> Result<(Checkpointer, ReplicaRecovery), PersistError> {
+    let recovery = Checkpointer::resume(replica_dir(dir, index))?;
+    let mut checkpointer = recovery.checkpointer;
+    let held = checkpointer.elements();
+    let mut routed = 0u64;
+    for &element in log
+        .iter()
+        .filter(|&&element| mode.takes(element, index, replicas))
+    {
+        routed += 1;
+        if routed > held {
+            checkpointer.offer(element)?;
+        }
+    }
+    if routed < held {
+        // The replica holds elements the durable log lost: fail closed.
+        return Err(PersistError::Gap {
+            expected: held,
+            found: routed,
+        });
+    }
+    let recovery = ReplicaRecovery {
+        replica: index,
+        snapshot_elements: recovery.snapshot_elements,
+        replayed: recovery.replayed,
+        caught_up: routed - held,
+    };
+    Ok((checkpointer, recovery))
+}
+
 /// The checkpoint subdirectory of replica `index`.
 #[must_use]
 pub fn replica_dir(dir: &Path, index: usize) -> PathBuf {
@@ -652,4 +475,60 @@ pub fn replica_dir(dir: &Path, index: usize) -> PathBuf {
 #[must_use]
 pub fn is_supervised_dir(dir: &Path) -> bool {
     RunManifest::read(dir).is_ok_and(|m| m.ensemble.is_some()) && replica_dir(dir, 0).is_dir()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EstimatorSpec;
+    use abacus_stream::persist::{list_segments, WATERMARK_FILE};
+    use abacus_stream::{inject_deletions_fast, DeletionConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A replica that holds more elements than the ensemble log routes to
+    /// it cannot be caught up: resume fails closed in both modes instead of
+    /// serving replicas ahead of the log.
+    #[test]
+    fn catch_up_fails_closed_when_a_replica_is_ahead_of_the_log() {
+        let base = abacus_stream::generators::random::uniform_bipartite(
+            40,
+            40,
+            300,
+            &mut StdRng::seed_from_u64(3),
+        );
+        let stream = inject_deletions_fast(
+            &base,
+            DeletionConfig::new(0.1),
+            &mut StdRng::seed_from_u64(4),
+        );
+        for mode in [EnsembleMode::Replicate, EnsembleMode::Partition] {
+            let dir = std::env::temp_dir()
+                .join("abacus-supervisor-tests")
+                .join(format!("ahead-{mode}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let manifest = RunManifest::new(EstimatorSpec::abacus(64).with_seed(2), 100)
+                .with_ensemble(3, mode);
+            let mut supervisor = EnsembleSupervisor::create(&dir, manifest).unwrap();
+            for &element in &stream {
+                supervisor.offer(element).unwrap();
+            }
+            supervisor.finish().unwrap();
+            drop(supervisor);
+            // Lose every ensemble-log segment after the first, and the
+            // watermark that would have caught the loss first.
+            for segment in list_segments(&dir).unwrap().iter().skip(1) {
+                std::fs::remove_file(segment).unwrap();
+            }
+            std::fs::remove_file(dir.join(WATERMARK_FILE)).unwrap();
+            assert!(
+                matches!(
+                    EnsembleSupervisor::resume(&dir),
+                    Err(PersistError::Gap { .. })
+                ),
+                "{mode}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }

@@ -202,8 +202,8 @@ impl AdjacencySet {
         matches!(self, AdjacencySet::Large(_))
     }
 
-    /// Returns the neighbors as a freshly sorted vector (test / debugging aid
-    /// and input for the sorted-merge intersection ablation).
+    /// Returns the neighbors as a freshly sorted vector (test / debugging
+    /// aid).
     #[must_use]
     pub fn to_sorted_vec(&self) -> Vec<u32> {
         let mut v: Vec<u32> = self.iter().collect();

@@ -176,7 +176,11 @@ impl AnomalySeries {
     /// trailing history.
     ///
     /// A window is flagged when its absolute delta exceeds `burst_factor ×`
-    /// the mean absolute delta of the up-to-8 preceding windows.  Two
+    /// the mean absolute delta of the up-to-8 preceding windows.  A partial
+    /// window of `n` elements (`0 < n < window`, e.g. one forced at the end
+    /// of the stream) is judged by its rate: its delta is scaled by
+    /// `window / n` here, in the warm-up median and in the trailing mean.
+    /// Full windows and empty flush windows keep their raw delta.  Two
     /// properties keep the detector scale-independent:
     ///
     /// * the baseline has no absolute floor — only a noise floor relative to
@@ -189,25 +193,40 @@ impl AnomalySeries {
     ///   flaggable instead of being its own baseline.
     #[must_use]
     pub fn anomalous_windows(&self) -> Vec<WindowSnapshot> {
+        let window = self.window as u64;
+        let mut previous = 0u64;
+        let changes: Vec<f64> = self
+            .snapshots
+            .iter()
+            .map(|snapshot| {
+                let n = snapshot.elements.saturating_sub(previous);
+                previous = snapshot.elements;
+                if n > 0 && n < window {
+                    snapshot.delta.abs() * (window as f64 / n as f64)
+                } else {
+                    snapshot.delta.abs()
+                }
+            })
+            .collect();
         // Warm-up baseline: the series' median |delta| (robust against the
         // spikes the detector is meant to find).
-        let mut sorted: Vec<f64> = self.snapshots.iter().map(|s| s.delta.abs()).collect();
+        let mut sorted = changes.clone();
         sorted.sort_by(f64::total_cmp);
         let warm_up = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
 
         let mut anomalies = Vec::new();
         let mut trailing: Vec<f64> = Vec::new();
-        for snapshot in &self.snapshots {
+        for (snapshot, &change) in self.snapshots.iter().zip(&changes) {
             let baseline = if trailing.is_empty() {
                 warm_up
             } else {
                 trailing.iter().sum::<f64>() / trailing.len() as f64
             };
             let noise_floor = f64::EPSILON * snapshot.estimate.abs();
-            if snapshot.delta.abs() > (self.burst_factor * baseline).max(noise_floor) {
+            if change > (self.burst_factor * baseline).max(noise_floor) {
                 anomalies.push(*snapshot);
             }
-            trailing.push(snapshot.delta.abs());
+            trailing.push(change);
             if trailing.len() > 8 {
                 trailing.remove(0);
             }
@@ -332,6 +351,28 @@ mod tests {
         let anomalies = series.anomalous_windows();
         assert_eq!(anomalies.len(), 1, "{anomalies:?}");
         assert_eq!(anomalies[0].window, 0);
+    }
+
+    /// A final window forced after a few elements is judged by its rate: a
+    /// drop of 30 over 3 elements of a 100-element window is a burst against
+    /// full windows that each moved 100, though its raw delta is smaller.
+    #[test]
+    fn a_partial_final_window_is_judged_by_its_rate() {
+        let mut series = AnomalySeries::new(100).with_burst_factor(8.0);
+        let mut estimate = 0.0;
+        for _ in 0..1_000 {
+            estimate += 1.0;
+            series.observe(estimate);
+        }
+        for _ in 0..3 {
+            estimate -= 10.0;
+            series.observe(estimate);
+        }
+        let last = series.force_snapshot(estimate).expect("window not empty");
+        assert_eq!((last.window, last.delta), (10, -30.0));
+        let anomalies = series.anomalous_windows();
+        assert_eq!(anomalies.len(), 1, "{anomalies:?}");
+        assert_eq!(anomalies[0].window, 10);
     }
 
     #[test]

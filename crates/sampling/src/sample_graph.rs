@@ -291,7 +291,7 @@ impl SampleGraph {
     /// 3. **Adjacency representation.** [`AdjacencySet`] promotes from the
     ///    small vector to the hash representation when it grows past the
     ///    threshold and never demotes, which steers memory accounting and
-    ///    the snapshot view's kernel choice.  A set that grew large and then
+    ///    the cost of membership probes.  A set that grew large and then
     ///    shrank would be rebuilt small, so the promoted vertices are
     ///    recorded and re-promoted explicitly.
     ///
@@ -360,12 +360,24 @@ impl SampleGraph {
             )));
         }
         let n = dec.get_usize()?;
+        if n > dec.remaining() / 8 {
+            return Err(PersistError::Truncated(format!(
+                "sample snapshot claims {n} edges, payload holds at most {}",
+                dec.remaining() / 8
+            )));
+        }
         let mut edges = Vec::with_capacity(n);
         for _ in 0..n {
             edges.push(Edge::new(dec.get_u32()?, dec.get_u32()?));
         }
         for side in [Side::Left, Side::Right] {
             let dense_len = dec.get_usize()?;
+            if dense_len > dec.remaining() / 4 {
+                return Err(PersistError::Truncated(format!(
+                    "sample snapshot claims {dense_len} {side:?} slots, payload holds at most {}",
+                    dec.remaining() / 4
+                )));
+            }
             let table = self.side_mut(side);
             table.raw.reserve(dense_len);
             for _ in 0..dense_len {
@@ -520,10 +532,8 @@ impl SampleStore<Edge> for SampleGraph {
     }
 
     fn store_replace_random<R: Rng + ?Sized>(&mut self, item: Edge, rng: &mut R) {
-        // Deliberately expressed as pick → remove → insert so that a
-        // wrapping store (ABACUS's CSR mirror) can reproduce the exact same
-        // state transition (and RNG consumption) while mirroring the two
-        // deltas.
+        // Pick → remove → insert: the same state transition and RNG
+        // consumption as an eviction followed by an insertion.
         let victim = self.random_edge(rng);
         self.remove_edge(victim);
         self.insert_edge(item);
@@ -856,6 +866,36 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_an_edge_count_beyond_the_payload() {
+        let mut enc = Encoder::new();
+        enc.put_usize(SOA_SAMPLE_MARKER);
+        enc.put_u8(SOA_SAMPLE_VERSION);
+        enc.put_usize(usize::MAX / 4);
+        let bytes = enc.finish();
+        let mut bad = SampleGraph::new();
+        assert!(matches!(
+            bad.restore_state(&mut Decoder::new(&bytes)),
+            Err(PersistError::Truncated(_))
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_a_dense_table_beyond_the_payload() {
+        let mut enc = Encoder::new();
+        enc.put_usize(SOA_SAMPLE_MARKER);
+        enc.put_u8(SOA_SAMPLE_VERSION);
+        enc.put_usize(0);
+        enc.put_usize(usize::MAX / 4);
+        let bytes = enc.finish();
+        assert_eq!(bytes.len(), 25);
+        let mut bad = SampleGraph::new();
+        assert!(matches!(
+            bad.restore_state(&mut Decoder::new(&bytes)),
+            Err(PersistError::Truncated(_))
+        ));
+    }
+
+    #[test]
     #[should_panic(expected = "empty sample")]
     fn random_edge_on_empty_sample_panics() {
         let s = SampleGraph::new();
@@ -958,7 +998,7 @@ mod tests {
             // dense slot order behind every draw).
             prop_assert_eq!(soa_rng.random::<u64>(), oracle_rng.random::<u64>());
             // Per-vertex parity: membership, degree, contents, and the
-            // representation the snapshot view dispatches on.
+            // adjacency representation.
             for (side, map) in [(Side::Left, &oracle.left), (Side::Right, &oracle.right)] {
                 for (&raw, expected) in map {
                     let v = VertexRef { side, id: raw };

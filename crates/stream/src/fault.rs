@@ -9,7 +9,7 @@
 //! * [`FaultPlan`] — a declarative list of faults, each pinned to a
 //!   zero-based element index: *source* faults (typed I/O errors, corrupt
 //!   records, stalls) and *replica* faults (worker panics, transient
-//!   persistence I/O errors) for the ensemble supervisor.
+//!   persistence I/O errors) for ensemble replicas.
 //! * [`FaultySource`] — wraps any [`ElementSource`] and fires the plan's
 //!   source faults at their element indices.
 //! * [`FaultPlan::parse`] — the compact text grammar behind the CLI's
@@ -87,7 +87,7 @@ pub struct ReplicaFault {
 pub struct FaultPlan {
     /// Faults fired by [`FaultySource`] at their element indices.
     pub source: Vec<SourceFault>,
-    /// Faults fired by the ensemble supervisor at their element indices.
+    /// Faults fired by an ensemble's replicas at their element indices.
     pub replicas: Vec<ReplicaFault>,
 }
 

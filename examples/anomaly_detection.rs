@@ -93,7 +93,8 @@ fn main() {
     );
     println!("alarms before the ring flag ordinary growth: the count is still near zero, so");
     println!("the trailing mean they are compared against is a few dozen butterflies.");
-    println!("the retraction is not flagged, since its drop stays under 8x the trailing mean");
-    println!("of the dense windows before it, but the estimate does fall back; an insert-only");
-    println!("counter would keep the inflated count, skewing every later anomaly decision.");
+    println!("the retraction lands in a short final window, which is judged by its rate:");
+    println!("its drop, scaled to a full window, is far above 8x the trailing mean, so it is");
+    println!("flagged and the estimate falls back; an insert-only counter would keep the");
+    println!("inflated count, skewing every later anomaly decision.");
 }

@@ -4,6 +4,10 @@
 # *degraded* K-1 report, then resume the directory and require the rejoined
 # ensemble to reproduce a never-failed reference estimate bit for bit.
 #
+# The same faulted run without --checkpoint-dir, fanned out over two threads,
+# must print the same estimate, health and quarantine lines: both drivers
+# contain replica faults through one replica set.
+#
 # This is the out-of-process complement to tests/fault_tolerance.rs — the
 # in-process suite asserts per-replica state bytes, while this script drives
 # the real CLI surface: the --fault-plan grammar, the degraded health report
@@ -56,6 +60,20 @@ grep -q "^quarantine:.*replica 1 quarantined at element $FAULT_AT" "$WORK/degrad
     echo "FAIL: the quarantine record does not name replica 1 at element $FAULT_AT"
     exit 1
 }
+
+echo "== the same faulted run in memory (no --checkpoint-dir) at --threads 2"
+"$ABACUS" run --input "$STREAM" --budget 2000 --seed 7 --ensemble 3 --threads 2 \
+    --fault-plan "panic:replica=1@$FAULT_AT" | tee "$WORK/in-memory.txt"
+for field in estimate health quarantine; do
+    supervised=$(grep "^$field:" "$WORK/degraded.txt" || true)
+    in_memory=$(grep "^$field:" "$WORK/in-memory.txt" || true)
+    if [[ "$supervised" != "$in_memory" ]]; then
+        echo "FAIL: the in-memory ensemble's $field line diverged from the supervised run's"
+        echo "supervised: $supervised"
+        echo "in memory:  $in_memory"
+        exit 1
+    fi
+done
 
 echo "== resume: rejoin the quarantined replica via snapshot + WAL catch-up"
 "$ABACUS" resume --checkpoint-dir "$FAULT_DIR" --input "$STREAM" | tee "$WORK/rejoined.txt"
